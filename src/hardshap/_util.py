@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -32,3 +33,12 @@ def fixed_chunks(total: int, chunk_size: int) -> Iterator[tuple[int, int]]:
 def round_half_up(x: float) -> int:
     """round() with half-up ties; keeps tiny perturbation quotas from vanishing."""
     return int(math.floor(x + 0.5))
+
+
+def hard_count(tau: float, n: int) -> int:
+    """ceil(tau*n) with tau read as the decimal it prints as.
+
+    Float products overshoot (0.07 * 100 is 7.000000000000001), which would
+    make the ceiling one row too many.
+    """
+    return math.ceil(Fraction(repr(tau)) * n)

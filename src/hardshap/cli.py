@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 flag/validation problems, 1 runtime failures.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 from . import augment as augment_mod
 from . import dataiq as dataiq_mod
 from . import evaluation, perturb, sim, valuation
-from ._util import round_half_up
+from ._util import hard_count, round_half_up
 from .dataset import load_csv, save_csv, standardize
 
 
@@ -364,7 +363,7 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     print(f"targeted gini={report.point!r} ci=[{report.ci_low!r},{report.ci_high!r}]")
     if args.with_baseline:
         # same synthetic budget spent without targeting
-        budget = round_half_up(args.amount * math.ceil(args.tau * train.n))
+        budget = round_half_up(args.amount * hard_count(args.tau, train.n))
         baseline_config = evaluation.AugmentPipelineConfig(
             train, valid, scores, 1.0, budget / train.n, gen, args.downstream_k
         )

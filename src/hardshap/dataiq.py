@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._util import parallel_map
+from ._util import fixed_chunks, parallel_map
 from .dataset import Dataset
+from .neighbors import QUERY_CHUNK, smallest_k
 
 DEFAULT_THRESHOLDS = (0.25, 0.75, 0.2)
 TAGS = ("Easy", "Hard", "Ambiguous")
@@ -123,16 +124,20 @@ def bagged_checkpoint_probs(
     def one_checkpoint(child: np.random.SeedSequence) -> np.ndarray:
         rng = np.random.default_rng(child)
         bag = rng.integers(0, n, size=n)
-        dist = cdist(train.features, train.features[bag])
-        # mask out the point's own bootstrap copies
-        dist[np.arange(n)[:, None] == bag[None, :]] = np.inf
-        pool_sizes = np.isfinite(dist).sum(axis=1)
-        if pool_sizes.min() < k:
+        in_bag = train.features[bag]
+        order = np.empty((n, k), dtype=np.intp)
+        smallest_pool = n
+        for lo, hi in fixed_chunks(n, QUERY_CHUNK):
+            dist = cdist(train.features[lo:hi], in_bag)
+            # mask out the point's own bootstrap copies
+            dist[np.arange(lo, hi)[:, None] == bag[None, :]] = np.inf
+            smallest_pool = min(smallest_pool, int(np.isfinite(dist).sum(axis=1).min()))
+            order[lo:hi] = smallest_k(dist, k)
+        if smallest_pool < k:
             raise ValueError(
                 f"K={k} exceeds the in-bag neighbor pool after self-exclusion "
-                f"(smallest pool {pool_sizes.min()})"
+                f"(smallest pool {smallest_pool})"
             )
-        order = np.argsort(dist, axis=1, kind="stable")[:, :k]
         neighbor_labels = train.labels[bag[order]]
         return (neighbor_labels == train.labels[:, None]).mean(axis=1)
 

@@ -21,10 +21,9 @@ from scipy.stats import rankdata
 from ._util import fixed_chunks, parallel_map, round_half_up
 from .augment import GeneratorSpec, targeted_augment
 from .dataset import Dataset
-from .neighbors import check_same_dimension, id_sorted_view
+from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, smallest_k
 from .valuation import ValuationScores, rank_by_hardness
 
-QUERY_CHUNK = 256
 DOWNSTREAM_K = 15
 
 
@@ -56,8 +55,7 @@ def knn_predict_proba(
 
     def run(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        dist = cdist(query.features[lo:hi], X)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        nearest = smallest_k(cdist(query.features[lo:hi], X), k)
         return y[nearest].mean(axis=1)
 
     parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)

@@ -21,9 +21,9 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._util import fixed_chunks, parallel_map
+from ._util import fixed_chunks, hard_count, parallel_map
 from .dataset import Dataset
-from .neighbors import check_same_dimension, id_sorted_view, rank_all
+from .neighbors import check_same_dimension, id_sorted_view, rank_all, stable_order
 
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley", "dataiq_confidence", "random")
 
@@ -79,7 +79,7 @@ def _contributions_block(
 ) -> np.ndarray:
     """Per-test contribution columns for one block of test points.
 
-    X/y must be id-sorted so the stable distance sort breaks ties by
+    X/y must be id-sorted so the (distance, column) order breaks ties by
     ascending id. Output rows follow the id-sorted train order.
     """
     n = X.shape[0]
@@ -89,7 +89,7 @@ def _contributions_block(
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
     for r in range(test_X.shape[0]):
-        idx = np.argsort(dist[r], kind="stable")
+        idx = stable_order(dist[r])
         match = (y[idx] == test_y[r]).astype(np.float64)
         s = np.empty(n)
         s[n - 1] = match[n - 1] * base
@@ -299,7 +299,7 @@ def hardest_subset(ds: Dataset, scores: ValuationScores, tau: float) -> Dataset:
         raise ValueError("tau must lie in (0, 1]")
     if scores.n != ds.n or not np.array_equal(np.sort(scores.ids), np.sort(ds.ids)):
         raise ValueError("scores are not aligned with the dataset ids")
-    m = math.ceil(tau * ds.n)
+    m = hard_count(tau, ds.n)
     hard_ids = rank_by_hardness(scores)[:m]
     return ds.take(ds.positions_of(hard_ids))
 

@@ -124,6 +124,21 @@ class TestBaggedCheckpoints:
         with pytest.raises(ValueError, match="pool"):
             bagged_checkpoint_probs(ds, n_checkpoints=2, k=6, seed=0)
 
+    def test_blocked_distances_match_full_matrix(self):
+        # more rows than one distance block, on a lattice so distances tie
+        rng = np.random.default_rng(4)
+        n, k = 300, 5
+        ds = Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), np.arange(n) % 2,
+                     ("x1", "x2"), np.arange(n))
+        got = bagged_checkpoint_probs(ds, n_checkpoints=3, k=k, seed=7).probs
+        for e, child in enumerate(np.random.SeedSequence(7).spawn(3)):
+            bag = np.random.default_rng(child).integers(0, n, size=n)
+            dist = np.linalg.norm(ds.features[:, None, :] - ds.features[bag][None], axis=2)
+            dist[np.arange(n)[:, None] == bag[None, :]] = np.inf
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            expected = (ds.labels[bag[nearest]] == ds.labels[:, None]).mean(axis=1)
+            assert np.array_equal(got[:, e], expected)
+
     def test_thread_count_invariance(self):
         ds = two_blobs(25)
         a = bagged_checkpoint_probs(ds, n_checkpoints=4, k=3, seed=5, threads=1)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,9 +168,14 @@ class TestRepeatedGini:
         assert a == b
 
 
+def _hard_rows(tau, n):
+    # ceil(tau*n) for tau as written: in floats 0.07 * 100 rounds up to 8
+    return math.ceil(Fraction(repr(tau)) * n)
+
+
 def _nontargeted_amount(tau, n):
     # the matched budget acceptance criterion 08 gives the tau = 1 arm
-    return round(math.ceil(tau * n)) / n
+    return round(_hard_rows(tau, n)) / n
 
 
 class TestMatchedBudgetArms:
@@ -187,7 +193,7 @@ class TestMatchedBudgetArms:
         gen = GeneratorSpec("smote", {"k_neighbors": 1, "seed": 0})
         targeted = targeted_augment(train, scores, tau, 1.0, gen)
         nontargeted = targeted_augment(train, scores, 1.0, _nontargeted_amount(tau, n), gen)
-        assert targeted.n - n == nontargeted.n - n == math.ceil(tau * n)
+        assert targeted.n - n == nontargeted.n - n == _hard_rows(tau, n)
 
     def test_arms_share_generator_seeds(self, pipeline, monkeypatch):
         seen = {}

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardshap._util import hard_count
 from hardshap.dataset import Dataset
 from hardshap.valuation import (
     ValuationScores,
@@ -251,6 +252,13 @@ class TestHardestSubset:
     def test_ceiling_rule(self):
         ds, scores = self.make(10)
         assert hardest_subset(ds, scores, 0.25).n == 3
+
+    @pytest.mark.parametrize("n, expected", [(100, 7), (5000, 350)])
+    def test_decimal_tau_not_overshot(self, n, expected):
+        # 0.07 * 100 is 7.000000000000001 in floats
+        ds, scores = self.make(n)
+        assert hard_count(0.07, n) == expected
+        assert hardest_subset(ds, scores, 0.07).n == expected
 
     def test_tau_bounds(self):
         ds, scores = self.make(10)
