@@ -30,6 +30,19 @@ def fixed_chunks(total: int, chunk_size: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + chunk_size, total)
 
 
+def largest_remainder(total: int, quotas: Sequence[float]) -> list[int]:
+    """Integer counts summing to total, closest to quotas (which sum to total).
+
+    Remainder units go to the largest fractional parts; ties resolve in
+    quota order, so the allocation is deterministic.
+    """
+    counts = [math.floor(q) for q in quotas]
+    by_remainder = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - counts[i]), i))
+    for i in by_remainder[: total - sum(counts)]:
+        counts[i] += 1
+    return counts
+
+
 def round_half_up(x: float) -> int:
     """round() with half-up ties; keeps tiny perturbation quotas from vanishing."""
     return int(math.floor(x + 0.5))

@@ -9,14 +9,13 @@ the training set and unions the synthetic rows with the original data.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from ._util import round_half_up
+from ._util import largest_remainder, round_half_up
 from .dataset import Dataset, load_csv, save_csv
 from .neighbors import k_nearest
 from .valuation import ValuationScores, hardest_subset
@@ -81,15 +80,9 @@ class SyntheticBatch:
 
 def _class_allocation(labels: np.ndarray, m: int) -> dict[int, int]:
     """Largest-remainder allocation of m rows proportional to class prevalence."""
-    n = labels.shape[0]
     classes = np.unique(labels)
-    quotas = {int(c): m * int((labels == c).sum()) / n for c in classes}
-    counts = {c: math.floor(q) for c, q in quotas.items()}
-    leftover = m - sum(counts.values())
-    by_remainder = sorted(quotas, key=lambda c: (-(quotas[c] - counts[c]), c))
-    for c in by_remainder[:leftover]:
-        counts[c] += 1
-    return counts
+    quotas = [m * int((labels == c).sum()) / labels.shape[0] for c in classes]
+    return dict(zip(classes.tolist(), largest_remainder(m, quotas)))
 
 
 def smote_generate(

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _io
 from . import augment as augment_mod
 from . import dataiq as dataiq_mod
 from . import evaluation, perturb, sim, valuation
@@ -296,13 +297,11 @@ def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     scores = valuation.load_scores_csv(args.scores)
-    ordering = valuation.rank_by_hardness(scores)
-    by_id = {int(i): float(s) for i, s in zip(scores.ids, scores.scores)}
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_header(argv)}\n")
-        fh.write("rank,id,score\n")
-        for rank, row_id in enumerate(ordering):
-            fh.write(f"{rank},{int(row_id)},{by_id[int(row_id)]!r}\n")
+    by_id = dict(zip(scores.ids.tolist(), scores.scores.tolist()))
+    rows = (
+        (rank, i, by_id[i]) for rank, i in enumerate(valuation.rank_by_hardness(scores).tolist())
+    )
+    _io.write_csv(args.out, ["rank", "id", "score"], rows, [_header(argv)], newline="\n")
     return 0
 
 
@@ -330,11 +329,8 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     print(f"auc_roc={auc!r}")
     print(f"gini={g!r}")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {_header(argv)}\n")
-            fh.write("metric,value\n")
-            fh.write(f"auc_roc,{auc!r}\n")
-            fh.write(f"gini,{g!r}\n")
+        _io.write_csv(args.out, ["metric", "value"], [("auc_roc", auc), ("gini", g)],
+                      [_header(argv)], newline="\n")
     return 0
 
 
@@ -444,15 +440,16 @@ def _cmd_removal_curve(args: argparse.Namespace, argv: list[str]) -> int:
     _require_positive(args.downstream_k, "downstream K")
     train, valid = _load_pair(args.train, args.valid, args.label, args.no_standardize)
     scores = valuation.load_scores_csv(args.scores)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {_header(argv, seed=args.seed)}\n")
-        fh.write("strategy,fraction,gini\n")
-        for strategy in strategies:
-            curve = evaluation.removal_curve(
-                train, valid, scores, fractions, strategy, args.seed, args.downstream_k
-            )
-            for fraction, g in curve:
-                fh.write(f"{strategy},{fraction!r},{g!r}\n")
+    # each strategy's curve is computed as its rows are written
+    rows = (
+        (strategy, fraction, g)
+        for strategy in strategies
+        for fraction, g in evaluation.removal_curve(
+            train, valid, scores, fractions, strategy, args.seed, args.downstream_k
+        )
+    )
+    _io.write_csv(args.out, ["strategy", "fraction", "gini"], rows,
+                  [_header(argv, seed=args.seed)], newline="\n")
     return 0
 
 
@@ -464,17 +461,13 @@ def _cmd_sim_toy(args: argparse.Namespace, argv: list[str]) -> int:
     table = sim.toy_interval_table(args.x_train)
     print(f"x_train={args.x_train!r}")
     print(f"expected_shapley={expected!r}")
-    print("interval_lo,interval_hi,y_test,s_left,s_movable,s_right")
-    lines = []
-    for lo, hi, y, (s_left, s_mid, s_right) in table:
-        lines.append(f"{lo!r},{hi!r},{y},{s_left!r},{s_mid!r},{s_right!r}")
-    print("\n".join(lines))
+    header = ["interval_lo", "interval_hi", "y_test", "s_left", "s_movable", "s_right"]
+    rows = [(lo, hi, y, *values) for lo, hi, y, values in table]
+    print(",".join(header))
+    print("\n".join(",".join(map(str, row)) for row in rows))
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# {_header(argv)}\n")
-            fh.write(f"# expected_shapley={expected!r}\n")
-            fh.write("interval_lo,interval_hi,y_test,s_left,s_movable,s_right\n")
-            fh.write("\n".join(lines) + "\n")
+        _io.write_csv(args.out, header, rows,
+                      [_header(argv), f"expected_shapley={expected!r}"], newline="\n")
     return 0
 
 

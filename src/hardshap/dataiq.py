@@ -8,13 +8,13 @@ dynamics while keeping the package dependency-free.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _io
 from ._util import fixed_chunks, parallel_map
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, smallest_k
@@ -146,40 +146,22 @@ def bagged_checkpoint_probs(
 
 
 def save_probs_csv(cp: CheckpointProbs, path: str | Path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", *(f"p_{e + 1}" for e in range(cp.n_checkpoints))])
-        for i in range(cp.probs.shape[0]):
-            writer.writerow([int(cp.ids[i]), *(repr(float(v)) for v in cp.probs[i])])
+    header = ["id", *(f"p_{e + 1}" for e in range(cp.n_checkpoints))]
+    rows = ([i, *p] for i, p in zip(cp.ids.tolist(), cp.probs.tolist()))
+    _io.write_csv(path, header, rows, [header_comment])
 
 
 def load_probs_csv(path: str | Path) -> CheckpointProbs:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if len(rows) < 2:
+    table = _io.read_csv(path)
+    if not table.n_rows:
         raise ValueError(f"no probability rows in {path}")
-    header = rows[0]
+    header = table.header
     if header[0] != "id" or len(header) < 3:
         raise ValueError(f"expected id,p_1,...,p_E header in {path}")
-    ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    probs = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-    return CheckpointProbs(probs, ids)
+    cols = table.columns(range(1, len(header)), id_col=0)
+    return CheckpointProbs(cols.floats, cols.ids)
 
 
 def save_tags_csv(tags: DataIQTags, path: str | Path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "confidence", "aleatoric", "tag"])
-        for i in range(len(tags.tag)):
-            writer.writerow(
-                [
-                    int(tags.ids[i]),
-                    repr(float(tags.confidence[i])),
-                    repr(float(tags.aleatoric[i])),
-                    tags.tag[i],
-                ]
-            )
+    rows = zip(tags.ids.tolist(), tags.confidence.tolist(), tags.aleatoric.tolist(), tags.tag)
+    _io.write_csv(path, ["id", "confidence", "aleatoric", "tag"], rows, [header_comment])

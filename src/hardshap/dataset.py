@@ -8,13 +8,14 @@ match scores back to the rows they were computed for.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from . import _io
+from ._util import largest_remainder
 
 ID_COLUMN = "id"
 
@@ -117,21 +118,6 @@ class SplitSpec:
         return (self.train_fraction, self.valid_fraction, self.test_fraction)
 
 
-def _largest_remainder_counts(total: int, fractions: Sequence[float]) -> list[int]:
-    """Integer quotas summing to `total`, closest to `total * fractions`.
-
-    Remainder units go to the largest fractional parts; ties resolve in
-    declaration order so the allocation is deterministic.
-    """
-    quotas = [total * f for f in fractions]
-    base = [math.floor(q) for q in quotas]
-    leftover = total - sum(base)
-    remainders = sorted(range(len(fractions)), key=lambda i: (-(quotas[i] - base[i]), i))
-    for i in remainders[:leftover]:
-        base[i] += 1
-    return base
-
-
 def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded three-way split preserving class prevalence in every part.
 
@@ -146,7 +132,7 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
     for cls in (0, 1):
         members = np.flatnonzero(ds.labels == cls)
         shuffled = members[rng.permutation(len(members))]
-        counts = _largest_remainder_counts(len(members), spec.fractions)
+        counts = largest_remainder(len(members), [len(members) * f for f in spec.fractions])
         if min(counts) == 0:
             raise ValueError(f"class {cls} too small to appear in every split part")
         offset = 0
@@ -197,12 +183,11 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if not rows:
+    table = _io.read_csv(path)
+    header = table.header
+    if header is None:
         raise ValueError(f"empty file: {path}")
-    header, data = rows[0], rows[1:]
-    if not data:
+    if not table.n_rows:
         raise ValueError(f"no data rows in {path}")
     if header.count(label_column) == 0:
         raise ValueError(f"missing label column {label_column!r} in {path}")
@@ -210,37 +195,10 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
         raise ValueError(f"duplicate column names in {path}")
     label_idx = header.index(label_column)
     id_idx = header.index(ID_COLUMN) if ID_COLUMN in header else None
-    feature_names = tuple(
-        c for i, c in enumerate(header) if i != label_idx and i != id_idx
-    )
-    n = len(data)
-    features = np.empty((n, len(feature_names)), dtype=np.float64)
-    labels = np.empty(n, dtype=np.int64)
-    ids = np.arange(n, dtype=np.int64)
-    for r, row in enumerate(data):
-        if len(row) != len(header):
-            raise ValueError(f"row {r + 1} has {len(row)} cells, expected {len(header)}")
-        label_text = row[label_idx].strip()
-        if label_text not in ("0", "1"):
-            raise ValueError(f"invalid label {label_text!r} at row {r + 1}")
-        labels[r] = int(label_text)
-        if id_idx is not None:
-            try:
-                ids[r] = int(row[id_idx])
-            except ValueError:
-                raise ValueError(f"non-integer id {row[id_idx]!r} at row {r + 1}") from None
-        c = 0
-        for i, cell in enumerate(row):
-            if i == label_idx or i == id_idx:
-                continue
-            try:
-                features[r, c] = float(cell)
-            except ValueError:
-                raise ValueError(
-                    f"non-numeric value {cell!r} in column {header[i]!r} at row {r + 1}"
-                ) from None
-            c += 1
-    return Dataset(features, labels, feature_names, ids)
+    feature_idx = [i for i in range(len(header)) if i != label_idx and i != id_idx]
+    cols = table.columns(feature_idx, id_col=id_idx, label_col=label_idx)
+    ids = cols.ids if id_idx is not None else np.arange(table.n_rows, dtype=np.int64)
+    return Dataset(cols.floats, cols.labels, tuple(header[i] for i in feature_idx), ids)
 
 
 def save_csv(
@@ -256,12 +214,6 @@ def save_csv(
     """
     if label_column in ds.feature_names or label_column == ID_COLUMN:
         raise ValueError(f"label column name {label_column!r} collides with an existing column")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow([ID_COLUMN, *ds.feature_names, label_column])
-        for i in range(ds.n):
-            writer.writerow(
-                [int(ds.ids[i]), *(repr(float(v)) for v in ds.features[i]), int(ds.labels[i])]
-            )
+    columns = zip(ds.ids.tolist(), ds.features.tolist(), ds.labels.tolist())
+    rows = ([i, *x, y] for i, x, y in columns)
+    _io.write_csv(path, [ID_COLUMN, *ds.feature_names, label_column], rows, [header_comment])

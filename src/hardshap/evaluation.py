@@ -8,7 +8,6 @@ files can be scored through the same metrics.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
+from . import _io
 from ._util import fixed_chunks, parallel_map, round_half_up
 from .augment import GeneratorSpec, targeted_augment
 from .dataset import Dataset
@@ -48,18 +48,26 @@ def knn_predict_proba(
     train: Dataset, query: Dataset, k: int = DOWNSTREAM_K, threads: int = 1
 ) -> np.ndarray:
     """Fraction of the K nearest training rows (distance ties by id) with label 1."""
-    check_same_dimension(train, query)
-    if not 1 <= k <= train.n:
-        raise ValueError(f"K={k} out of range for {train.n} training rows")
+    _check_vote(train, query, k)
     X, y, _ = id_sorted_view(train)
 
     def run(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        nearest = smallest_k(cdist(query.features[lo:hi], X), k)
-        return y[nearest].mean(axis=1)
+        return _vote(cdist(query.features[lo:hi], X), y, k)
 
     parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+
+def _check_vote(train: Dataset, query: Dataset, k: int) -> None:
+    check_same_dimension(train, query)
+    if not 1 <= k <= train.n:
+        raise ValueError(f"K={k} out of range for {train.n} training rows")
+
+
+def _vote(dist: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """Share of label 1 among each row's k nearest columns; y in column order."""
+    return y[smallest_k(dist, k)].mean(axis=1)
 
 
 def auc_roc(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -148,6 +156,10 @@ def removal_curve(
     strategy 'hardest' removes by ascending score; 'random' removes a
     seeded uniform subset of the same size, giving the null arm the curve
     is compared against.
+
+    Each point equals ``knn_predict_proba`` refitted on the rows kept: the
+    distances are computed once per block of valid rows, and each fraction
+    sets its dropped columns to ``inf`` (the dropped sets are nested).
     """
     if strategy not in ("hardest", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -157,7 +169,8 @@ def removal_curve(
     hardness_order = rank_by_hardness(scores)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shuffled_ids = train.ids[rng.permutation(train.n)]
-    curve = []
+    X, y, order = id_sorted_view(train)
+    dropped = []
     for fraction in fractions:
         drop = round_half_up(fraction * train.n)
         doomed = hardness_order[:drop] if strategy == "hardest" else shuffled_ids[:drop]
@@ -165,37 +178,37 @@ def removal_curve(
         remaining = train.take(np.flatnonzero(keep_mask))
         if len(np.unique(remaining.labels)) < 2:
             raise ValueError(f"removing {fraction:.0%} leaves a single-class training set")
-        probs = knn_predict_proba(remaining, valid, k)
-        curve.append((fraction, gini(probs, valid.labels)))
-    return curve
+        _check_vote(remaining, valid, k)
+        dropped.append(np.flatnonzero(~keep_mask[order]))
+    if not dropped:
+        return []
+    probs = np.empty((len(fractions), valid.n))
+    for lo, hi in fixed_chunks(valid.n, QUERY_CHUNK):
+        dist = cdist(valid.features[lo:hi], X)
+        # A kept pair can overflow to inf; capping keeps it ahead of the masked ones.
+        np.minimum(dist, np.finfo(np.float64).max, out=dist)
+        for f, columns in enumerate(dropped):
+            dist[:, columns] = np.inf
+            probs[f, lo:hi] = _vote(dist, y, k)
+    return [(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, probs)]
 
 
 def save_metric_report_csv(
     report: MetricReport, path: str | Path, header_comment: str | None = None
 ) -> None:
     """Rows ``replicate,<metric>`` followed by mean / ci_low / ci_high summary rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", report.metric])
-        for i, value in enumerate(report.replicates):
-            writer.writerow([i, repr(value)])
-        writer.writerow(["mean", repr(report.point)])
-        writer.writerow(["ci_low", repr(report.ci_low)])
-        writer.writerow(["ci_high", repr(report.ci_high)])
+    summary = [("mean", report.point), ("ci_low", report.ci_low), ("ci_high", report.ci_high)]
+    rows = [*enumerate(report.replicates), *summary]
+    _io.write_csv(path, ["replicate", report.metric], rows, [header_comment])
 
 
 def load_probs_column_csv(path: str | Path, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read an ``id,<column>`` CSV into aligned (ids, values) arrays."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if len(rows) < 2:
+    table = _io.read_csv(path)
+    if not table.n_rows:
         raise ValueError(f"no rows in {path}")
-    header = rows[0]
+    header = table.header
     if header[0] != "id" or column not in header:
         raise ValueError(f"expected id,{column} header in {path}")
-    idx = header.index(column)
-    ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    values = np.array([float(r[idx]) for r in rows[1:]])
-    return ids, values
+    cols = table.columns([header.index(column)], id_col=0)
+    return cols.ids, cols.floats[:, 0]

@@ -9,13 +9,13 @@ hardest-first and measuring average precision against the planted flags.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import _io
 from ._util import parallel_map, round_half_up
 from .dataiq import bagged_checkpoint_probs, confidence
 from .dataset import Dataset, SplitSpec, stratified_split
@@ -290,24 +290,12 @@ def aggregate_benchmark(rows: Sequence[BenchmarkRow]) -> list[tuple[str, float, 
 def save_benchmark_csv(
     rows: Sequence[BenchmarkRow], path: str | Path, header_comment: str | None = None
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "proportion", "characterizer", "run", "auprc"])
-        for row in rows:
-            writer.writerow(
-                [row.kind, repr(row.proportion), row.characterizer, row.run, repr(row.auprc)]
-            )
+    header = ["kind", "proportion", "characterizer", "run", "auprc"]
+    _io.write_csv(path, header, map(astuple, rows), [header_comment])
 
 
 def save_benchmark_mean_csv(
     rows: Sequence[BenchmarkRow], path: str | Path, header_comment: str | None = None
 ) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "proportion", "characterizer", "mean_auprc"])
-        for kind, p, name, mean in aggregate_benchmark(rows):
-            writer.writerow([kind, repr(p), name, repr(mean)])
+    header = ["kind", "proportion", "characterizer", "mean_auprc"]
+    _io.write_csv(path, header, aggregate_benchmark(rows), [header_comment])

@@ -12,7 +12,6 @@ ones whose presence hurts nearest-neighbor predictions on the test set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import _io
 from ._util import fixed_chunks, hard_count, parallel_map
 from .dataset import Dataset
 from .neighbors import check_same_dimension, id_sorted_view, rank_all, stable_order
@@ -312,17 +312,10 @@ def save_scores_csv(
     Rank 0 is the hardest point. The sidecar holds the params one
     ``key=value`` per line.
     """
-    ranking = rank_by_hardness(scores)
-    rank_of = {int(i): r for r, i in enumerate(ranking)}
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "score", "rank", "method"])
-        for i in range(scores.n):
-            row_id = int(scores.ids[i])
-            writer.writerow([row_id, repr(float(scores.scores[i])), rank_of[row_id], scores.method])
+    rank_of = {i: r for r, i in enumerate(rank_by_hardness(scores).tolist())}
+    columns = zip(scores.ids.tolist(), scores.scores.tolist())
+    rows = ((i, s, rank_of[i], scores.method) for i, s in columns)
+    _io.write_csv(path, ["id", "score", "rank", "method"], rows, [header_comment])
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         fh.write(f"method={scores.method}\n")
         for key in sorted(scores.params):
@@ -331,17 +324,14 @@ def save_scores_csv(
 
 def load_scores_csv(path: str | Path) -> ValuationScores:
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if len(rows) < 2:
+    table = _io.read_csv(path)
+    if not table.n_rows:
         raise ValueError(f"no score rows in {path}")
-    header = rows[0]
+    header = table.header
     if header[:2] != ["id", "score"] or "method" not in header:
         raise ValueError(f"unexpected scores header in {path}: {header}")
-    method_idx = header.index("method")
-    ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    values = np.array([float(r[1]) for r in rows[1:]])
-    method = rows[1][method_idx]
+    cols = table.columns([1], id_col=0, text_col=header.index("method"))
+    method = cols.text[0]
     params: dict[str, object] = {}
     meta = Path(f"{path}.meta")
     if meta.exists():
@@ -350,4 +340,4 @@ def load_scores_csv(path: str | Path) -> ValuationScores:
                 key, _, value = line.partition("=")
                 if key != "method":
                     params[key] = value
-    return ValuationScores(values, ids, method, params)
+    return ValuationScores(cols.floats[:, 0], cols.ids, method, params)

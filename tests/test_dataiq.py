@@ -155,6 +155,19 @@ class TestCsv:
         assert np.array_equal(back.probs, cp.probs)
         assert np.array_equal(back.ids, cp.ids)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,0.5\n", "row 1 has 2 cells, expected 3"),
+            ("1,0.5,0.25\n2,0.5,0.25,1.0\n", "row 2 has 4 cells, expected 3"),
+        ],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, body, message):
+        path = tmp_path / "probs.csv"
+        path.write_text("id,p_1,p_2\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_probs_csv(path)
+
     def test_tags_csv_layout(self, tmp_path):
         tags = tag(np.array([0.9, 0.1]), np.array([0.05, 0.05]))
         path = tmp_path / "tags.csv"

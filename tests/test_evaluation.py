@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardshap import evaluation
+from hardshap._util import round_half_up
 from hardshap.augment import GeneratorSpec, targeted_augment
 from hardshap.dataset import Dataset
 from hardshap.evaluation import (
@@ -22,7 +23,7 @@ from hardshap.evaluation import (
     repeated_gini,
     save_metric_report_csv,
 )
-from hardshap.valuation import ValuationScores, knn_shapley
+from hardshap.valuation import ValuationScores, knn_shapley, rank_by_hardness
 
 from conftest import random_dataset
 
@@ -258,6 +259,54 @@ class TestRemovalCurve:
         with pytest.raises(ValueError, match="strategy"):
             removal_curve(train, valid, scores, [0.1], "easiest", 0)
 
+    @pytest.mark.parametrize("strategy", ["hardest", "random"])
+    @pytest.mark.parametrize("k", [1, 7, 15])
+    def test_matches_refit_on_kept_rows_with_ties(self, strategy, k):
+        # Integer lattice rows in shuffled id order: most distances tie, so
+        # the id tie-break decides the neighbours at every fraction.
+        rng = np.random.default_rng(k)
+        X = rng.integers(0, 3, size=(300, 2)).astype(float)
+        y = (X.sum(axis=1) + rng.integers(0, 2, 300)) % 2
+        train = Dataset(X, y, ("a", "b"), rng.permutation(3000)[:300])
+        valid = Dataset(rng.integers(0, 3, size=(80, 2)).astype(float),
+                        np.arange(80) % 2, ("a", "b"), np.arange(80))
+        scores = ValuationScores(rng.integers(0, 5, 300) / 4.0, train.ids, "random", {})
+        fractions = [0.0, 0.1, 0.3, 0.5]
+        assert removal_curve(train, valid, scores, fractions, strategy, 3, k) == (
+            _refit_curve(train, valid, scores, fractions, strategy, 3, k)
+        )
+
+    def test_matches_refit_when_kept_distances_overflow(self):
+        # Most distances between rows at +-1e300 and +-2e300 overflow to inf:
+        # the dropped row must still rank after every kept one.
+        train = Dataset([[2e300], [-1e300], [-2e300], [-1e300], [0.0], [2e300]],
+                        [0, 0, 0, 1, 1, 1], ("x",), np.arange(6))
+        valid = Dataset([[2e300], [-2e300], [2e300], [-2e300]], [0, 1, 0, 1], ("x",), np.arange(4))
+        scores = ValuationScores([0.0, 0.25, 1.0, 0.75, 0.5, 1.25], train.ids, "random", {})
+        curve = removal_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
+        assert curve == _refit_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
+        assert curve == [(0.0, -1.0), (0.2, 0.0)]
+
+    def test_errors_in_fraction_order(self, data):
+        train, valid, scores = data
+        with pytest.raises(ValueError, match="K=400 out of range for 360 training rows"):
+            removal_curve(train, valid, scores, [0.0, 0.1, 0.2], "hardest", 0, k=400)
+        assert removal_curve(train, valid, scores, [], "hardest", 0) == []
+
+
+def _refit_curve(train, valid, scores, fractions, strategy, seed, k):
+    """removal_curve by refitting knn_predict_proba on the rows kept."""
+    order = rank_by_hardness(scores)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    shuffled = train.ids[rng.permutation(train.n)]
+    curve = []
+    for fraction in fractions:
+        drop = round_half_up(fraction * train.n)
+        doomed = order[:drop] if strategy == "hardest" else shuffled[:drop]
+        kept = train.take(np.flatnonzero(~np.isin(train.ids, doomed)))
+        curve.append((fraction, gini(knn_predict_proba(kept, valid, k), valid.labels)))
+    return curve
+
 
 class TestMetricReportCsv:
     def test_layout_and_parse(self, tmp_path):
@@ -276,6 +325,12 @@ class TestMetricReportCsv:
         ids, values = load_probs_column_csv(path, "prob")
         assert ids.tolist() == [3, 1]
         assert values.tolist() == [0.25, 0.75]
+
+    def test_probs_column_reader_rejects_ragged_rows(self, tmp_path):
+        path = tmp_path / "probs.csv"
+        path.write_text("id,prob\n3,0.25\n1,0.75,0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 2 has 3 cells, expected 2"):
+            load_probs_column_csv(path, "prob")
 
     def test_report_validation(self):
         with pytest.raises(ValueError, match="bracket"):

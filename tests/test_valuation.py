@@ -286,6 +286,20 @@ class TestScoresCsv:
         ranks = {int(l.split(",")[0]): int(l.split(",")[2]) for l in lines}
         assert ranks == {1: 0, 0: 1, 2: 2}
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,0.2\n", "row 1 has 2 cells, expected 4"),
+            ("1,0.2,0,knn_shapley\n2,0.3,1,knn_shapley,extra\n", "row 2 has 5 cells, expected 4"),
+            ("1,0.2,0,knn_shapley\n2,0.3\n", "row 2 has 2 cells, expected 4"),
+        ],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, body, message):
+        path = tmp_path / "s.csv"
+        path.write_text("id,score,rank,method\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_scores_csv(path)
+
 
 class TestTieHeavyEquivalence:
     @settings(max_examples=40, deadline=None)
