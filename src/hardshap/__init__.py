@@ -18,6 +18,7 @@ from .dataiq import (
 from .dataset import Dataset, SplitSpec, load_csv, save_csv, standardize, stratified_split
 from .evaluation import (
     AugmentPipelineConfig,
+    CachedVote,
     MetricReport,
     auc_roc,
     gini,
@@ -56,6 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentPipelineConfig",
+    "CachedVote",
     "BlobConfig",
     "CheckpointProbs",
     "DataIQTags",

@@ -320,11 +320,11 @@ def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     prob_ids, probs = evaluation.load_probs_column_csv(args.probs, "prob")
-    label_ids, labels = evaluation.load_probs_column_csv(args.labels, args.label)
+    label_ids, labels = evaluation.load_labels_column_csv(args.labels, args.label)
     order_p, order_l = np.argsort(prob_ids), np.argsort(label_ids)
     if not np.array_equal(prob_ids[order_p], label_ids[order_l]):
         raise ValueError("probs and labels files do not cover the same ids")
-    auc = evaluation.auc_roc(probs[order_p], labels[order_l].astype(np.int64))
+    auc = evaluation.auc_roc(probs[order_p], labels[order_l])
     g = 2.0 * auc - 1.0
     print(f"auc_roc={auc!r}")
     print(f"gini={g!r}")
@@ -352,7 +352,11 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     config = evaluation.AugmentPipelineConfig(
         train, valid, scores, args.tau, args.amount, gen, args.downstream_k
     )
-    report = evaluation.repeated_gini(config, args.replicates, args.seed, threads=args.threads)
+    # both arms vote against the same valid->train neighbourhood
+    vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
+    report = evaluation.repeated_gini(
+        config, args.replicates, args.seed, threads=args.threads, vote=vote
+    )
     evaluation.save_metric_report_csv(
         report, args.out, header_comment=_header(argv, seed=args.seed, arm="targeted")
     )
@@ -364,7 +368,7 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
             train, valid, scores, 1.0, budget / train.n, gen, args.downstream_k
         )
         baseline = evaluation.repeated_gini(
-            baseline_config, args.replicates, args.seed, threads=args.threads
+            baseline_config, args.replicates, args.seed, threads=args.threads, vote=vote
         )
         baseline_out = args.baseline_out or f"{args.out}.baseline.csv"
         evaluation.save_metric_report_csv(

@@ -4,6 +4,20 @@ The downstream learner is deliberately a KNN probability vote: it is
 deterministic, dependency-free, and refits instantly, which is what the
 augmentation and removal comparisons need. Externally produced probability
 files can be scored through the same metrics.
+
+Every vote ranks a query row's training columns by (distance, column) over
+the id-sorted training set, so distance ties go to the lower id. Augmented
+sets are voted through ``CachedVote``, which computes the valid->train
+neighbourhood once: for each query row it keeps the K nearest training
+columns, by (distance, column), with their distances. An augmented set
+appends rows whose ids exceed every training id, so in its id-sorted view
+they come after every training column, in id order. A training row outside
+the cached K has K training rows ahead of it, which stay ahead of it in the
+augmented set. So the K nearest of [the K cached columns, then the new rows
+by id] are the K nearest of the whole augmented set: at equal distance a
+cached column precedes every new row and a lower column a higher one, as in
+the full order. The vote is bit-equal to ``knn_predict_proba`` refitted on
+the augmented set, and each replicate computes only its new rows' distances.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ def knn_predict_proba(
 
     def run(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        return _vote(cdist(query.features[lo:hi], X), y, k)
+        return _vote(cdist(query.features[lo:hi], X), y[None, :], k)
 
     parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
@@ -65,9 +79,70 @@ def _check_vote(train: Dataset, query: Dataset, k: int) -> None:
         raise ValueError(f"K={k} out of range for {train.n} training rows")
 
 
-def _vote(dist: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-    """Share of label 1 among each row's k nearest columns; y in column order."""
-    return y[smallest_k(dist, k)].mean(axis=1)
+def _vote(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Share of label 1 among each row's k nearest columns.
+
+    labels holds each column's label per row of dist, or once for all rows
+    as a (1, columns) array.
+    """
+    return np.take_along_axis(labels, smallest_k(dist, k), axis=1).mean(axis=1)
+
+
+class CachedVote:
+    """``knn_predict_proba`` of one query set against augmentations of one train set.
+
+    Built once from the K nearest training columns of every query row, with
+    their distances and labels; ``predict_proba`` computes only the added
+    rows' distances (the module docstring shows why the result is exact).
+    Memory is query rows x K, plus ``QUERY_CHUNK`` x (K + added rows) while
+    voting.
+    """
+
+    def __init__(self, train: Dataset, query: Dataset, k: int = DOWNSTREAM_K, threads: int = 1):
+        check_same_dimension(train, query)
+        if k < 1:
+            raise ValueError(f"K={k} out of range for {train.n} training rows")
+        X, y, _ = id_sorted_view(train)
+        keep = min(k, train.n)
+
+        def run(block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+            lo, hi = block
+            dist = cdist(query.features[lo:hi], X)
+            columns = smallest_k(dist, keep)
+            return np.take_along_axis(dist, columns, axis=1), y[columns]
+
+        parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)
+        self.dist = np.concatenate([dist for dist, _ in parts])
+        self.labels = np.concatenate([labels for _, labels in parts])
+        self.train, self.query, self.k = train, query, k
+
+    def predict_proba(self, augmented: Dataset) -> np.ndarray:
+        """Equals ``knn_predict_proba(augmented, query, k)``.
+
+        augmented must hold the training rows first, unchanged, and then
+        rows whose ids exceed every training id, as ``append_batch`` builds it.
+        """
+        _check_vote(augmented, self.query, self.k)
+        train, n = self.train, self.train.n
+        new_ids = augmented.ids[n:]
+        if not (
+            np.array_equal(augmented.ids[:n], train.ids)
+            and np.array_equal(augmented.features[:n], train.features)
+            and np.array_equal(augmented.labels[:n], train.labels)
+            and (new_ids.size == 0 or new_ids.min() > train.ids.max())
+        ):
+            raise ValueError("augmented set must be the training rows, then rows with larger ids")
+        by_id = np.argsort(new_ids)
+        new_X, new_y = augmented.features[n:][by_id], augmented.labels[n:][by_id]
+        out = np.empty(self.query.n)
+        for lo, hi in fixed_chunks(self.query.n, QUERY_CHUNK):
+            new_dist = cdist(self.query.features[lo:hi], new_X)
+            dist = np.concatenate([self.dist[lo:hi], new_dist], axis=1)
+            labels = np.concatenate(
+                [self.labels[lo:hi], np.broadcast_to(new_y, new_dist.shape)], axis=1
+            )
+            out[lo:hi] = _vote(dist, labels, self.k)
+        return out
 
 
 def auc_roc(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -121,21 +196,29 @@ def repeated_gini(
     replicates: int,
     base_seed: int = 0,
     threads: int = 1,
+    vote: CachedVote | None = None,
 ) -> MetricReport:
     """Validation Gini of augment -> fit -> score, repeated over derived seeds.
 
     Only the generator draw varies between replicates; the report carries
-    every replicate plus the mean and its 95% CI.
+    every replicate plus the mean and its 95% CI. Each fit is a
+    ``CachedVote`` over the config's train and valid sets; pass one to share
+    it between runs (arms) over the same sets, or one is built here.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a confidence interval")
+    if vote is None:
+        vote = CachedVote(config.train, config.valid, config.downstream_k, threads)
+    elif not (
+        vote.train is config.train and vote.query is config.valid and vote.k == config.downstream_k
+    ):
+        raise ValueError("vote was built for another train set, valid set or K")
     children = np.random.SeedSequence(base_seed).spawn(replicates)
 
     def one(child: np.random.SeedSequence) -> float:
         gen = config.generator.with_seed(int(child.generate_state(1)[0]))
         augmented = targeted_augment(config.train, config.scores, config.tau, config.amount, gen)
-        probs = knn_predict_proba(augmented, config.valid, config.downstream_k)
-        return gini(probs, config.valid.labels)
+        return gini(vote.predict_proba(augmented), config.valid.labels)
 
     values = np.array(parallel_map(one, children, threads))
     mean, lo, hi = _normal_ci(values)
@@ -189,7 +272,7 @@ def removal_curve(
         np.minimum(dist, np.finfo(np.float64).max, out=dist)
         for f, columns in enumerate(dropped):
             dist[:, columns] = np.inf
-            probs[f, lo:hi] = _vote(dist, y, k)
+            probs[f, lo:hi] = _vote(dist, y[None, :], k)
     return [(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, probs)]
 
 
@@ -204,11 +287,23 @@ def save_metric_report_csv(
 
 def load_probs_column_csv(path: str | Path, column: str) -> tuple[np.ndarray, np.ndarray]:
     """Read an ``id,<column>`` CSV into aligned (ids, values) arrays."""
+    table, j = _id_table(path, column)
+    cols = table.columns([j], id_col=0)
+    return cols.ids, cols.floats[:, 0]
+
+
+def load_labels_column_csv(path: str | Path, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read the ids and 0/1 labels of an ``id,...,<column>`` CSV, checked as ``load_csv`` does."""
+    table, j = _id_table(path, column)
+    cols = table.columns([], id_col=0, label_col=j)
+    return cols.ids, cols.labels
+
+
+def _id_table(path: str | Path, column: str) -> tuple[_io.Table, int]:
     table = _io.read_csv(path)
     if not table.n_rows:
         raise ValueError(f"no rows in {path}")
     header = table.header
     if header[0] != "id" or column not in header:
         raise ValueError(f"expected id,{column} header in {path}")
-    cols = table.columns([header.index(column)], id_col=0)
-    return cols.ids, cols.floats[:, 0]
+    return table, header.index(column)

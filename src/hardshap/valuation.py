@@ -25,10 +25,11 @@ from ._util import fixed_chunks, hard_count, parallel_map
 from .dataset import Dataset
 from .neighbors import check_same_dimension, id_sorted_view, rank_all, stable_order
 
-METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley", "dataiq_confidence", "random")
+METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
 
 EXACT_MAX_POINTS = 16
 TEST_CHUNK = 256
+SUM_COLUMNS = 1024
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,14 @@ def _contributions_block(
     k: int,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Per-test contribution columns for one block of test points.
+    """Per-test contribution rows for one block of test points, shape (block, n).
 
     X/y must be id-sorted so the (distance, column) order breaks ties by
-    ascending id. Output rows follow the id-sorted train order.
+    ascending id. Output columns follow the id-sorted train order.
     """
     n = X.shape[0]
     dist = cdist(test_X, X)
-    out = np.empty((n, test_X.shape[0]))
+    out = np.empty((test_X.shape[0], n))
     # Base case min(K,n)/(nK) instead of the usual 1/n keeps the recursion
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
@@ -96,8 +97,22 @@ def _contributions_block(
         if n > 1:
             delta = (match[:-1] - match[1:]) * weights
             s[: n - 1] = s[n - 1] + np.cumsum(delta[::-1])[::-1]
-        out[idx, r] = s
+        out[r, idx] = s
     return out
+
+
+def _train_sums(block: np.ndarray) -> np.ndarray:
+    """Each train column's sum over a (block, n) contribution block.
+
+    Sums each column of a C-order transposed copy with ``sum(axis=1)``,
+    numpy's pairwise order along a contiguous row, which is how the sums of
+    an (n, block) layout are taken, bit for bit. The copy is made
+    SUM_COLUMNS columns at a time, never of the whole block.
+    """
+    sums = np.empty(block.shape[1])
+    for lo, hi in fixed_chunks(block.shape[1], SUM_COLUMNS):
+        sums[lo:hi] = np.ascontiguousarray(block[:, lo:hi].T).sum(axis=1)
+    return sums
 
 
 def knn_shapley_contributions(
@@ -118,9 +133,9 @@ def knn_shapley_contributions(
         return _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
 
     parts = parallel_map(run, blocks, threads)
-    sorted_contrib = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-    contrib = np.empty_like(sorted_contrib)
-    contrib[orig_pos] = sorted_contrib
+    sorted_contrib = np.concatenate(parts) if len(parts) > 1 else parts[0]
+    contrib = np.empty((train.n, test.n))
+    contrib[orig_pos] = sorted_contrib.T
     return contrib
 
 
@@ -138,7 +153,7 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
     def run(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
         part = _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-        return part.sum(axis=1)
+        return _train_sums(part)
 
     totals = parallel_map(run, blocks, threads)
     sorted_scores = np.zeros(train.n)

@@ -22,7 +22,7 @@ from conftest import random_dataset
 
 def scored(ds, seed=0):
     rng = np.random.default_rng(seed)
-    return ValuationScores(rng.normal(size=ds.n), ds.ids, "random", {})
+    return ValuationScores(rng.normal(size=ds.n), ds.ids, "tmc_shapley", {})
 
 
 class TestSmote:

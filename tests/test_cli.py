@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from hardshap import evaluation
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
+from hardshap.neighbors import QUERY_CHUNK
 from hardshap.sim import toy_1nn_shapleys
 from hardshap.valuation import load_scores_csv
 
@@ -120,6 +124,16 @@ def test_dataiq_and_eval_roundtrip(tmp_path, blob_files, capsys):
     assert "auc_roc=" in printed and "gini=" in printed
 
 
+def test_eval_rejects_labels_other_than_0_and_1(tmp_path, capsys):
+    probs, labels = tmp_path / "probs.csv", tmp_path / "labels.csv"
+    probs.write_text("id,prob\n0,0.1\n1,0.9\n2,0.4\n3,0.6\n", encoding="utf-8")
+    labels.write_text("id,label\n0,0\n1,2\n2,0.7\n3,1\n", encoding="utf-8")
+    assert main(["eval", "--probs", str(probs), "--labels", str(labels)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid label '2' at row 2" in captured.err
+    assert "gini=" not in captured.out
+
+
 def test_perturb_bench_grid(tmp_path, blob_files):
     out = tmp_path / "bench.csv"
     assert main(["perturb-bench", "--train", blob_files["train"],
@@ -160,6 +174,35 @@ def test_eval_pipeline_with_baseline(tmp_path, blob_files):
         rows = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
         assert rows[0] == "replicate,gini"
         assert len(rows) == 1 + 3 + 3  # replicates + mean/ci_low/ci_high
+
+
+@pytest.mark.parametrize("replicates", [2, 5])
+def test_eval_pipeline_builds_the_valid_train_neighbourhood_once(
+    tmp_path, monkeypatch, replicates
+):
+    # 300 valid rows span two QUERY_CHUNK blocks
+    n_train, n_valid = 200, 300
+    prefix = str(tmp_path / "blob")
+    assert main(["sim-blobs", "--seed", "4", "--out-prefix", prefix, "--n-train", str(n_train),
+                 "--n-valid", str(n_valid), "--n-test", "100"]) == 0
+    reference_rows = []
+    real_cdist = evaluation.cdist
+
+    def counting_cdist(XA, XB, *args, **kwargs):
+        reference_rows.append(len(XB))
+        return real_cdist(XA, XB, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "cdist", counting_cdist)
+    assert main(["eval-pipeline", "--train", f"{prefix}_train.csv",
+                 "--valid", f"{prefix}_valid.csv", "--test", f"{prefix}_test.csv",
+                 "--tau", "0.1", "--amount", "1.0", "--generator", "smote", "--gen-k", "2",
+                 "--replicates", str(replicates), "--seed", "8", "--with-baseline",
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    blocks = math.ceil(n_valid / QUERY_CHUNK)
+    # A refit per replicate would pass all n_train + m augmented rows.
+    assert sum(rows >= n_train for rows in reference_rows) == blocks
+    # Two arms, each replicate computing only its 20 synthetic rows' distances.
+    assert sorted(reference_rows) == [20] * (2 * replicates * blocks) + [n_train] * blocks
 
 
 def test_sim_toy_prints_expected_value(capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from hardshap import evaluation
 from hardshap._util import round_half_up
-from hardshap.augment import GeneratorSpec, targeted_augment
+from hardshap.augment import GeneratorSpec, SyntheticBatch, append_batch, targeted_augment
 from hardshap.dataset import Dataset
 from hardshap.evaluation import (
     AugmentPipelineConfig,
+    CachedVote,
     MetricReport,
     _normal_ci,
     auc_roc,
@@ -23,6 +25,7 @@ from hardshap.evaluation import (
     repeated_gini,
     save_metric_report_csv,
 )
+from hardshap.neighbors import QUERY_CHUNK
 from hardshap.valuation import ValuationScores, knn_shapley, rank_by_hardness
 
 from conftest import random_dataset
@@ -168,6 +171,95 @@ class TestRepeatedGini:
         b = repeated_gini(pipeline, replicates=4, base_seed=2, threads=4)
         assert a == b
 
+    def test_replicates_equal_a_refit_on_each_augmented_set(self, pipeline):
+        children = np.random.SeedSequence(6).spawn(3)
+        expected = []
+        for child in children:
+            gen = pipeline.generator.with_seed(int(child.generate_state(1)[0]))
+            augmented = targeted_augment(pipeline.train, pipeline.scores, pipeline.tau,
+                                         pipeline.amount, gen)
+            probs = knn_predict_proba(augmented, pipeline.valid, pipeline.downstream_k)
+            expected.append(gini(probs, pipeline.valid.labels))
+        for threads in (1, 4):
+            report = repeated_gini(pipeline, replicates=3, base_seed=6, threads=threads)
+            assert report.replicates == tuple(expected)
+
+    def test_vote_shared_between_arms(self, pipeline):
+        vote = CachedVote(pipeline.train, pipeline.valid, pipeline.downstream_k)
+        baseline = dataclasses.replace(pipeline, tau=1.0, amount=0.3)
+        for config in (pipeline, baseline):
+            assert repeated_gini(config, 3, 1, vote=vote) == repeated_gini(config, 3, 1)
+        other_valid = dataclasses.replace(pipeline, valid=pipeline.train)
+        with pytest.raises(ValueError, match="another train set, valid set or K"):
+            repeated_gini(other_valid, 3, 1, vote=vote)
+
+
+def _lattice(rng, n, d, ids=None):
+    return Dataset(rng.integers(0, 3, size=(n, d)).astype(float), rng.integers(0, 2, n),
+                   tuple(f"f{j}" for j in range(d)), np.arange(n) if ids is None else ids)
+
+
+def _tied_batch(rng, train, valid, m):
+    """Lattice rows, copies of train rows, and reflections of train rows
+    through valid rows (exactly as far from that valid row as the train row)."""
+    picks = rng.integers(0, train.n, m)
+    rows = np.where(rng.integers(0, 3, (m, 1)) == 0,
+                    rng.integers(0, 3, size=(m, train.d)).astype(float),
+                    train.features[picks])
+    reflect = rng.integers(0, 2, m) == 1
+    centres = valid.features[rng.integers(0, valid.n, m)]
+    rows[reflect] = 2 * centres[reflect] - rows[reflect]
+    return SyntheticBatch(rows, rng.integers(0, 2, m), "smote", 0, train.ids)
+
+
+class TestCachedVote:
+    """CachedVote against knn_predict_proba refitted on the augmented set."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, QUERY_CHUNK]))
+    def test_matches_refit_on_tie_heavy_lattices(self, seed, chunk):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 30)), int(rng.integers(1, 3))
+        train = _lattice(rng, n, d, rng.permutation(3 * n)[:n])
+        valid = _lattice(rng, int(rng.integers(1, 12)), d)
+        batch = _tied_batch(rng, train, valid, int(rng.integers(1, 30)))
+        augmented = append_batch(train, batch)
+        k = int(rng.integers(1, augmented.n + 1))
+        with mock.patch.object(evaluation, "QUERY_CHUNK", chunk):
+            cached = CachedVote(train, valid, k, threads=2).predict_proba(augmented)
+            refit = knn_predict_proba(augmented, valid, k)
+        assert cached.tobytes() == refit.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 45, 60])
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_matches_refit_over_several_blocks(self, k, m):
+        # K = 40 and 45 keep every train column in the cache; m < K and m > K both occur
+        rng = np.random.default_rng(k * m)
+        train = _lattice(rng, 40, 2, rng.permutation(200)[:40])
+        valid = _lattice(rng, 2 * QUERY_CHUNK + 5, 2)
+        vote = CachedVote(train, valid, k, threads=2)
+        for _ in range(3):
+            augmented = append_batch(train, _tied_batch(rng, train, valid, m))
+            if k > augmented.n:
+                with pytest.raises(ValueError, match=f"K={k} out of range for {augmented.n}"):
+                    vote.predict_proba(augmented)
+                continue
+            expected = knn_predict_proba(augmented, valid, k)
+            assert vote.predict_proba(augmented).tobytes() == expected.tobytes()
+
+    def test_rejects_sets_that_do_not_extend_train(self):
+        rng = np.random.default_rng(0)
+        train = _lattice(rng, 10, 2, np.arange(10, 20))
+        valid = _lattice(rng, 5, 2)
+        vote = CachedVote(train, valid, 3)
+        low_id = Dataset(np.concatenate([train.features, [[0.0, 1.0]]]),
+                         np.concatenate([train.labels, [1]]), train.feature_names,
+                         np.concatenate([train.ids, [5]]))
+        moved = train.take(np.arange(10)[::-1])
+        for bad in (train.take(np.arange(1, 10)), low_id, moved):
+            with pytest.raises(ValueError, match="training rows, then rows with larger ids"):
+                vote.predict_proba(bad)
+
 
 def _hard_rows(tau, n):
     # ceil(tau*n) for tau as written: in floats 0.07 * 100 rounds up to 8
@@ -250,7 +342,7 @@ class TestRemovalCurve:
         # single-class training set
         train = Dataset([[0.0], [0.1], [5.0]], [1, 1, 0], ("x",), [0, 1, 2])
         valid = Dataset([[0.0], [5.0]], [1, 0], ("x",), [0, 1])
-        scores = ValuationScores([0.5, 0.6, -1.0], train.ids, "random", {})
+        scores = ValuationScores([0.5, 0.6, -1.0], train.ids, "tmc_shapley", {})
         with pytest.raises(ValueError, match="single-class"):
             removal_curve(train, valid, scores, [0.4], "hardest", 0, k=1)
 
@@ -270,7 +362,7 @@ class TestRemovalCurve:
         train = Dataset(X, y, ("a", "b"), rng.permutation(3000)[:300])
         valid = Dataset(rng.integers(0, 3, size=(80, 2)).astype(float),
                         np.arange(80) % 2, ("a", "b"), np.arange(80))
-        scores = ValuationScores(rng.integers(0, 5, 300) / 4.0, train.ids, "random", {})
+        scores = ValuationScores(rng.integers(0, 5, 300) / 4.0, train.ids, "tmc_shapley", {})
         fractions = [0.0, 0.1, 0.3, 0.5]
         assert removal_curve(train, valid, scores, fractions, strategy, 3, k) == (
             _refit_curve(train, valid, scores, fractions, strategy, 3, k)
@@ -282,7 +374,7 @@ class TestRemovalCurve:
         train = Dataset([[2e300], [-1e300], [-2e300], [-1e300], [0.0], [2e300]],
                         [0, 0, 0, 1, 1, 1], ("x",), np.arange(6))
         valid = Dataset([[2e300], [-2e300], [2e300], [-2e300]], [0, 1, 0, 1], ("x",), np.arange(4))
-        scores = ValuationScores([0.0, 0.25, 1.0, 0.75, 0.5, 1.25], train.ids, "random", {})
+        scores = ValuationScores([0.0, 0.25, 1.0, 0.75, 0.5, 1.25], train.ids, "tmc_shapley", {})
         curve = removal_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
         assert curve == _refit_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
         assert curve == [(0.0, -1.0), (0.2, 0.0)]

@@ -217,11 +217,11 @@ class TestBruteforceEquivalenceSweep:
 
 class TestRanking:
     def test_tie_rule(self):
-        scores = ValuationScores([0.3, -0.1, 0.3], [0, 1, 2], "random", {})
+        scores = ValuationScores([0.3, -0.1, 0.3], [0, 1, 2], "tmc_shapley", {})
         assert rank_by_hardness(scores).tolist() == [1, 0, 2]
 
     def test_total_tie_gives_identity(self):
-        scores = ValuationScores([0.5, 0.5, 0.5], [0, 1, 2], "random", {})
+        scores = ValuationScores([0.5, 0.5, 0.5], [0, 1, 2], "tmc_shapley", {})
         assert rank_by_hardness(scores).tolist() == [0, 1, 2]
 
     def test_toy_hardest_is_plus_one(self, toy_train, toy_test):
@@ -233,7 +233,7 @@ class TestHardestSubset:
     def make(self, n, seed=0):
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, n, d=2)
-        return ds, ValuationScores(rng.normal(size=n), ds.ids, "random", {})
+        return ds, ValuationScores(rng.normal(size=n), ds.ids, "tmc_shapley", {})
 
     def test_tau_one_is_everything(self):
         ds, scores = self.make(20)
@@ -279,7 +279,7 @@ class TestScoresCsv:
         assert back.params["k"] == "5"
 
     def test_rank_column_matches_ordering(self, tmp_path):
-        scores = ValuationScores([0.3, -0.1, 0.3], [0, 1, 2], "random", {})
+        scores = ValuationScores([0.3, -0.1, 0.3], [0, 1, 2], "tmc_shapley", {})
         path = tmp_path / "s.csv"
         save_scores_csv(scores, path)
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")][1:]
@@ -298,6 +298,13 @@ class TestScoresCsv:
         path = tmp_path / "s.csv"
         path.write_text("id,score,rank,method\n" + body, encoding="utf-8")
         with pytest.raises(ValueError, match=message):
+            load_scores_csv(path)
+
+    @pytest.mark.parametrize("method", ["random", "dataiq_confidence"])
+    def test_methods_no_valuation_produces_rejected(self, tmp_path, method):
+        path = tmp_path / "s.csv"
+        path.write_text(f"id,score,rank,method\n1,0.2,0,{method}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"unknown method '{method}'"):
             load_scores_csv(path)
 
 
