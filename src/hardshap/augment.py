@@ -92,7 +92,8 @@ def smote_generate(
 
     Classes are represented proportionally to their prevalence in the
     source (largest-remainder rounding); each row copies its seed point's
-    label. Neighbor search happens inside the source only.
+    label. Neighbors are searched inside the source, for the rows drawn as
+    seed points only, so the search scales with m, not the source size.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -114,13 +115,14 @@ def smote_generate(
                 f"needs at least k_neighbors+1 = {k_neighbors + 1} for SMOTE"
             )
         X = source.features[members]
-        # self is always the nearest at distance 0; drop that column
-        neighbor_idx = k_nearest(X, X, k_neighbors + 1)[:, 1:]
         picks = rng.integers(0, members.shape[0], size=quota)
         neighbor_pick = rng.integers(0, k_neighbors, size=quota)
         u = rng.uniform(size=quota)[:, None]
+        drawn, drawn_at = np.unique(picks, return_inverse=True)
+        # column 0 is the row itself or an equal row stored before it; drop it
+        neighbor_idx = k_nearest(X, X[drawn], k_neighbors + 1)[:, 1:]
         base = X[picks]
-        partner = X[neighbor_idx[picks, neighbor_pick]]
+        partner = X[neighbor_idx[drawn_at, neighbor_pick]]
         rows[out:out + quota] = base + u * (partner - base)
         labels[out:out + quota] = cls
         out += quota

@@ -342,6 +342,9 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     _require_positive(args.amount, "amount")
     if args.replicates < 2:
         raise UsageError("replicates must be at least 2")
+    if args.generator == "external":
+        raise UsageError("eval-pipeline: replicates and arms would share one --exec-in/--exec-out "
+                         "pair, so the CI is zero-width; use 'hardshap augment' for one batch")
     gen = _generator_spec(args, k_field="gen_k")
     train = load_csv(args.train, args.label)
     valid = load_csv(args.valid, args.label)

@@ -112,6 +112,8 @@ def bagged_checkpoint_probs(
     Checkpoint e is a KNN vote over a seeded bootstrap resample of the
     training rows; a point's probability is the fraction of its K nearest
     in-bag neighbors (its own copies excluded) that carry its true label.
+    Each block of QUERY_CHUNK rows masks only its own rows' copies, found by
+    sorting the bag positions by the row they copy.
     """
     if n_checkpoints < 2:
         raise ValueError("need at least 2 checkpoints")
@@ -125,12 +127,14 @@ def bagged_checkpoint_probs(
         rng = np.random.default_rng(child)
         bag = rng.integers(0, n, size=n)
         in_bag = train.features[bag]
+        copies = np.argsort(bag, kind="stable")
+        starts = np.searchsorted(bag[copies], np.arange(n + 1))
         order = np.empty((n, k), dtype=np.intp)
         smallest_pool = n
         for lo, hi in fixed_chunks(n, QUERY_CHUNK):
             dist = cdist(train.features[lo:hi], in_bag)
-            # mask out the point's own bootstrap copies
-            dist[np.arange(lo, hi)[:, None] == bag[None, :]] = np.inf
+            own = copies[starts[lo]:starts[hi]]
+            dist[bag[own] - lo, own] = np.inf
             smallest_pool = min(smallest_pool, int(np.isfinite(dist).sum(axis=1).min()))
             order[lo:hi] = smallest_k(dist, k)
         if smallest_pool < k:

@@ -12,7 +12,8 @@ sorting whole rows: ``argpartition`` picks k candidates and only those are
 sorted. Where the k-th distance equals the (k+1)-th, the partition may have
 kept any of the tied columns, so the candidates at that distance are
 replaced by the lowest columns at it, keeping the cut where a stable sort
-puts it.
+puts it. Only those tied rows are scanned for the repair; the others keep
+the partition's candidates as they are.
 
 Distances must not be NaN; ``inf`` (a masked-out pair) is allowed.
 """
@@ -72,15 +73,16 @@ def smallest_k(dist: np.ndarray, k: int) -> np.ndarray:
     cand_d = np.take_along_axis(dist, cand, axis=1)
     kth = cand_d.max(axis=1)
     next_d = np.take_along_axis(dist, part[:, k:k + 1], axis=1)[:, 0]
-    tied = kth == next_d
-    if tied.any():
+    tied = np.flatnonzero(kth == next_d)
+    if tied.size:
         # All entries below the k-th distance are candidates already; the
         # slots at it go to the lowest columns at it, in column order.
-        slots = tied[:, None] & (cand_d == kth[:, None])
-        boundary = np.where(tied, kth, np.nan)
-        rows, cols = np.nonzero(dist == boundary[:, None])
+        boundary = kth[tied, None]
+        slots = cand_d[tied] == boundary
+        rows, cols = np.nonzero(dist[tied] == boundary)
         rank_in_row = np.arange(rows.shape[0]) - np.searchsorted(rows, rows)
-        cand[slots] = cols[rank_in_row < slots.sum(axis=1)[rows]]
+        slot_rows, slot_cols = np.nonzero(slots)
+        cand[tied[slot_rows], slot_cols] = cols[rank_in_row < slots.sum(axis=1)[rows]]
     order = np.lexsort((cand, cand_d), axis=1)
     return np.take_along_axis(cand, order, axis=1)
 

@@ -142,25 +142,14 @@ def auprc(scores: np.ndarray, flags: np.ndarray) -> float:
     if positives == 0 or positives == flags.shape[0]:
         raise ValueError("flags must mark at least one and not all rows")
     order = np.argsort(scores, kind="stable")
-    ranked_scores = scores[order]
-    ranked_flags = flags[order]
-    ap = 0.0
-    tp = fp = 0
-    recall_prev = 0.0
-    start = 0
-    n = scores.shape[0]
-    while start < n:
-        stop = start
-        while stop < n and ranked_scores[stop] == ranked_scores[start]:
-            stop += 1
-        tp += int(ranked_flags[start:stop].sum())
-        fp += stop - start - int(ranked_flags[start:stop].sum())
-        recall = tp / positives
-        precision = tp / (tp + fp)
-        ap += (recall - recall_prev) * precision
-        recall_prev = recall
-        start = stop
-    return ap
+    ranked = scores[order]
+    # one threshold step per run of equal scores, ending at `stops`
+    stops = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True)) + 1
+    tp = np.cumsum(flags[order])[stops - 1]
+    recall = tp / positives
+    precision = tp / stops
+    # cumsum adds in step order, as a loop would; sum() would add pairwise
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 @dataclass(frozen=True)

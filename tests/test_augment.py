@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from hardshap.augment import (
     ExternalGeneratorError,
     GeneratorSpec,
     SyntheticBatch,
+    _class_allocation,
     append_batch,
     external_generate,
     generate,
@@ -76,6 +78,47 @@ class TestSmote:
         b = smote_generate(source, 25, k_neighbors=3, seed=11)
         assert np.array_equal(a.rows, b.rows)
         assert np.array_equal(a.labels, b.labels)
+
+
+def _smote_on_full_class_graph(source, m, k_neighbors, seed):
+    """SMOTE drawing partners from every class row's full stable distance order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    counts = _class_allocation(source.labels, m)
+    rows = []
+    for cls in sorted(counts):
+        if counts[cls] == 0:
+            continue
+        X = source.features[source.labels == cls]
+        neighbor_idx = np.argsort(cdist(X, X), axis=1, kind="stable")[:, 1:k_neighbors + 1]
+        picks = rng.integers(0, X.shape[0], size=counts[cls])
+        neighbor_pick = rng.integers(0, k_neighbors, size=counts[cls])
+        u = rng.uniform(size=counts[cls])[:, None]
+        base = X[picks]
+        rows.append(base + u * (X[neighbor_idx[picks, neighbor_pick]] - base))
+    return np.concatenate(rows)
+
+
+class TestSmoteAgainstFullGraph:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_full_graph_reference_on_duplicate_lattices(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        features = rng.integers(0, 3, size=(n, 2)).astype(float)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2], labels[2:4] = 0, 1
+        source = Dataset(features, labels, ("a", "b"), rng.permutation(n))
+        for cls in (0, 1):
+            X = features[labels == cls]
+            first = np.argsort(cdist(X, X), axis=1, kind="stable")[:, 0]
+            # a duplicate row stored earlier ranks ahead of the row itself
+            assert (first != np.arange(X.shape[0])).any()
+        smallest_class = int(min((labels == 0).sum(), (labels == 1).sum()))
+        for k in range(1, smallest_class):
+            for m in (1, n // 3 + 1, 3 * n):
+                batch = smote_generate(source, m, k_neighbors=k, seed=seed + m)
+                assert np.array_equal(
+                    batch.rows, _smote_on_full_class_graph(source, m, k, seed + m)
+                )
 
 
 class TestTargetedAugment:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardshap import evaluation
+from hardshap import augment, evaluation, neighbors
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
 from hardshap.neighbors import QUERY_CHUNK
@@ -203,6 +203,62 @@ def test_eval_pipeline_builds_the_valid_train_neighbourhood_once(
     assert sum(rows >= n_train for rows in reference_rows) == blocks
     # Two arms, each replicate computing only its 20 synthetic rows' distances.
     assert sorted(reference_rows) == [20] * (2 * replicates * blocks) + [n_train] * blocks
+
+
+def test_smote_searches_neighbours_only_for_the_rows_it_draws(tmp_path, monkeypatch):
+    prefix = str(tmp_path / "blob")
+    assert main(["sim-blobs", "--seed", "4", "--out-prefix", prefix, "--n-train", "200",
+                 "--n-valid", "50", "--n-test", "50"]) == 0
+    calls = []  # per smote_generate call: its arguments and its query blocks
+    real_smote, real_cdist = augment.smote_generate, neighbors.cdist
+
+    def recording_smote(source, m, k_neighbors=5, seed=0):
+        calls.append(((source, m, k_neighbors, seed), []))
+        return real_smote(source, m, k_neighbors, seed)
+
+    def counting_cdist(XA, XB, *args, **kwargs):
+        if calls:
+            calls[-1][1].append(len(XA))
+        return real_cdist(XA, XB, *args, **kwargs)
+
+    monkeypatch.setattr(augment, "smote_generate", recording_smote)
+    monkeypatch.setattr(neighbors, "cdist", counting_cdist)
+    assert main(["eval-pipeline", "--train", f"{prefix}_train.csv",
+                 "--valid", f"{prefix}_valid.csv", "--test", f"{prefix}_test.csv",
+                 "--tau", "0.1", "--amount", "1.0", "--generator", "smote", "--gen-k", "2",
+                 "--replicates", "3", "--seed", "8", "--with-baseline",
+                 "--out", str(tmp_path / "report.csv")]) == 0
+    assert len(calls) == 2 * 3
+    sources = set()
+    for (source, m, k_neighbors, seed), blocks in calls:
+        sources.add(source.n)
+        # replay the generator's draws: the distinct rows picked per class
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        distinct = []
+        for cls, quota in sorted(augment._class_allocation(source.labels, m).items()):
+            if quota:
+                picks = rng.integers(0, int((source.labels == cls).sum()), size=quota)
+                rng.integers(0, k_neighbors, size=quota)
+                rng.uniform(size=quota)
+                distinct.append(np.unique(picks).shape[0])
+        assert blocks == distinct
+    # the hard subset and the whole train set; the full class graph would
+    # query every row of each class
+    assert sources == {20, 200}
+
+
+def test_eval_pipeline_rejects_the_external_generator(tmp_path, capsys, blob_files):
+    exec_in, exec_out, out = tmp_path / "hard.csv", tmp_path / "synth.csv", tmp_path / "r.csv"
+    save_csv(load_csv(blob_files["train"], "label"), exec_out, "label")
+    code = main(["eval-pipeline", "--train", blob_files["train"], "--valid", blob_files["valid"],
+                 "--test", blob_files["test"], "--tau", "0.25", "--amount", "1.0",
+                 "--generator", "external", "--exec-in", str(exec_in),
+                 "--exec-out", str(exec_out), "--with-baseline", "--threads", "2",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "CI is zero-width" in err and "use 'hardshap augment' for one batch" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.csv"]
 
 
 def test_sim_toy_prints_expected_value(capsys):

@@ -14,6 +14,7 @@ from hardshap.dataiq import (
     tag,
 )
 from hardshap.dataset import Dataset
+from hardshap.neighbors import QUERY_CHUNK
 
 
 def probs(rows):
@@ -125,19 +126,25 @@ class TestBaggedCheckpoints:
             bagged_checkpoint_probs(ds, n_checkpoints=2, k=6, seed=0)
 
     def test_blocked_distances_match_full_matrix(self):
-        # more rows than one distance block, on a lattice so distances tie
+        # three distance blocks, on a lattice so distances tie, with K up to
+        # the in-bag pool limit: n less the most copies of one row in a bag
         rng = np.random.default_rng(4)
-        n, k = 300, 5
+        n = 2 * QUERY_CHUNK + 88
         ds = Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), np.arange(n) % 2,
                      ("x1", "x2"), np.arange(n))
-        got = bagged_checkpoint_probs(ds, n_checkpoints=3, k=k, seed=7).probs
-        for e, child in enumerate(np.random.SeedSequence(7).spawn(3)):
-            bag = np.random.default_rng(child).integers(0, n, size=n)
-            dist = np.linalg.norm(ds.features[:, None, :] - ds.features[bag][None], axis=2)
-            dist[np.arange(n)[:, None] == bag[None, :]] = np.inf
-            nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            expected = (ds.labels[bag[nearest]] == ds.labels[:, None]).mean(axis=1)
-            assert np.array_equal(got[:, e], expected)
+        bags = [np.random.default_rng(child).integers(0, n, size=n)
+                for child in np.random.SeedSequence(7).spawn(3)]
+        pool = min(n - int(np.bincount(bag).max()) for bag in bags)
+        for k in (5, pool):
+            got = bagged_checkpoint_probs(ds, n_checkpoints=3, k=k, seed=7).probs
+            for e, bag in enumerate(bags):
+                dist = np.linalg.norm(ds.features[:, None, :] - ds.features[bag][None], axis=2)
+                dist[np.arange(n)[:, None] == bag[None, :]] = np.inf
+                nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                expected = (ds.labels[bag[nearest]] == ds.labels[:, None]).mean(axis=1)
+                assert np.array_equal(got[:, e], expected)
+        with pytest.raises(ValueError, match=rf"smallest pool {pool}\)"):
+            bagged_checkpoint_probs(ds, n_checkpoints=3, k=pool + 1, seed=7)
 
     def test_thread_count_invariance(self):
         ds = two_blobs(25)

@@ -2,7 +2,8 @@
 
 One small fixed object goes through each of the eleven writers: the seven
 library ``save_*`` functions and the four CLI subcommands that write their
-own files. The fixtures pin cell text (shortest-repr floats, ``-0.0``,
+own files. One ``perturb-bench`` run over all three characterizers on a
+tie-heavy lattice also pins the AUPRCs themselves, Data-IQ's included. The fixtures pin cell text (shortest-repr floats, ``-0.0``,
 subnormals, exponents), header quoting, comment lines and line endings
 (``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
 
@@ -17,6 +18,7 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardshap import dataiq, evaluation, perturb, valuation
@@ -39,6 +41,8 @@ FILES = (
     "eval.csv",
     "curve.csv",
     "toy.csv",
+    "pbench.csv",
+    "pbench.csv.mean.csv",
 )
 
 
@@ -81,6 +85,12 @@ def write_all(out: Path) -> None:
     save_csv(valid, out / "valid.csv")
     (out / "probs_in.csv").write_text("id,prob\n0,0.1\n1,0.4\n2,0.35\n3,0.8\n4,0.2\n", encoding="utf-8")
     (out / "labels_in.csv").write_text("id,label\n4,1\n3,1\n2,0\n1,1\n0,0\n", encoding="utf-8")
+    # 700 rows on 35 lattice points: Data-IQ's bags hold many copies at
+    # distance 0 and its working set spans more than one distance block.
+    i = np.arange(700)
+    lattice = Dataset(np.column_stack([i % 7, i // 7 % 5]).astype(float),
+                      (i % 7 + i // 7 % 5 + (i % 9 == 0)) % 2, ("x1", "x2"), i)
+    save_csv(lattice, out / "lattice.csv")
     cwd = os.getcwd()
     os.chdir(out)
     try:
@@ -91,6 +101,9 @@ def write_all(out: Path) -> None:
              "--scores", "scores.csv", "--fractions", "0,0.2,0.4", "--downstream-k", "3",
              "--no-standardize", "--out", "curve.csv"],
             ["sim-toy", "--x-train", "0.5", "--grid=-8,8,0.01", "--out", "toy.csv"],
+            ["perturb-bench", "--train", "lattice.csv", "--proportions", "0.1,0.2",
+             "--characterizers", "knn_shapley,dataiq,random", "--runs", "2",
+             "--checkpoints", "3", "--seed", "5", "--threads", "2", "--out", "pbench.csv"],
         )
         for argv in calls:
             if main(argv) != 0:

@@ -137,7 +137,52 @@ class TestAtypicalScale:
             atypical_scale(ds, 0.34, quantile=0.95, seed=0)
 
 
+def _loop_auprc(scores, flags):
+    """auprc as a loop over threshold steps, the order its sum must keep."""
+    scores = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(flags, dtype=bool)
+    positives = int(flags.sum())
+    order = np.argsort(scores, kind="stable")
+    ranked_scores = scores[order]
+    ranked_flags = flags[order]
+    ap = 0.0
+    tp = fp = 0
+    recall_prev = 0.0
+    start = 0
+    n = scores.shape[0]
+    while start < n:
+        stop = start
+        while stop < n and ranked_scores[stop] == ranked_scores[start]:
+            stop += 1
+        tp += int(ranked_flags[start:stop].sum())
+        fp += stop - start - int(ranked_flags[start:stop].sum())
+        recall = tp / positives
+        precision = tp / (tp + fp)
+        ap += (recall - recall_prev) * precision
+        recall_prev = recall
+        start = stop
+    return ap
+
+
 class TestAuprc:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["ties", "constant", "distinct"]),
+           st.integers(2, 2000))
+    def test_bit_equal_to_loop_reference(self, seed, shape, n):
+        rng = np.random.default_rng(seed)
+        if shape == "ties":
+            scores = rng.integers(0, int(rng.integers(2, n + 2)), size=n) / 3.0
+        elif shape == "constant":
+            scores = np.full(n, 0.7)
+        else:
+            scores = rng.permutation(n) / 7.0
+        flags = rng.uniform(size=n) < rng.uniform(0.01, 0.99)
+        if not 0 < flags.sum() < n:
+            flags[0], flags[1] = True, False
+        got = auprc(scores, flags)
+        assert type(got) is float
+        assert got == _loop_auprc(scores, flags)
+
     def test_perfect_ranking(self):
         assert auprc([0.0, 0.1, 0.9, 1.0], [True, True, False, False]) == 1.0
 
