@@ -36,7 +36,6 @@ from .perturb import (
 )
 from .sim import (
     BlobConfig,
-    ToyConfig,
     gen_blobs,
     gen_toy_mixture,
     toy_1nn_shapleys,
@@ -67,7 +66,6 @@ __all__ = [
     "PerturbationRecord",
     "SplitSpec",
     "SyntheticBatch",
-    "ToyConfig",
     "ValuationScores",
     "aleatoric",
     "atypical_scale",

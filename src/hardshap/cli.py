@@ -21,7 +21,7 @@ from . import augment as augment_mod
 from . import dataiq as dataiq_mod
 from . import evaluation, perturb, sim, valuation
 from ._util import hard_count, round_half_up
-from .dataset import load_csv, save_csv, standardize
+from .dataset import Dataset, load_csv, save_csv, standardize
 
 
 class UsageError(Exception):
@@ -166,55 +166,44 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     return parser, sub
 
 
-def _prescan_config(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config needs a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
+    """argv with one flag token per line of its ``--config`` file after the subcommand.
 
-
-def _merge_config_defaults(
-    sub: argparse._SubParsersAction, argv: list[str], config_path: str
-) -> None:
-    """Install config values as subparser defaults before parsing.
-
-    Command-line flags still override because defaults only fill absent
-    flags; required flags satisfied by the config stop being required.
+    A ``key=value`` line becomes ``--key=value``, and a truthy value of a
+    store-true key a bare ``--key``, so the parser checks config values
+    exactly as it checks flags. The command line's own flags come later and
+    so win. An unknown key is rejected here, before parsing.
     """
     if not argv or argv[0] not in sub.choices:
-        return  # let the parser report the bad subcommand itself
-    command = argv[0]
+        return argv  # let the parser report the bad subcommand itself
+    command_parser = sub.choices[argv[0]]
+    finder = argparse.ArgumentParser(prog=command_parser.prog, usage=argparse.SUPPRESS,
+                                     add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    config_path = finder.parse_known_args(argv[1:])[0].config
+    if config_path is None:
+        return argv
     path = Path(config_path)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    raw: dict[str, str] = {}
+    options = command_parser._option_string_actions
+    tokens = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        raw[key.strip().replace("-", "_")] = value.strip()
-    command_parser = sub.choices[command]
-    known = {a.dest: a for a in command_parser._actions}
-    typed: dict[str, object] = {}
-    for key, value in raw.items():
-        action = known.get(key)
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        action = options.get(flag)
         if action is None:
-            raise UsageError(f"unknown config key {key!r} for {command}")
-        if isinstance(action, argparse._StoreTrueAction):
-            typed[key] = value.lower() in ("1", "true", "yes")
-        elif action.type is not None:
-            typed[key] = action.type(value)
-        else:
-            typed[key] = value
-        action.required = False
-    command_parser.set_defaults(**typed)
+            raise UsageError(f"unknown config key {key!r} for {argv[0]}")
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def _header(argv: list[str], **extras: object) -> str:
@@ -244,13 +233,12 @@ def _require_positive(value: int | float, name: str) -> None:
         raise UsageError(f"{name} must be positive")
 
 
-def _load_pair(train_path: str, other_path: str, label: str, no_standardize: bool):
-    train = load_csv(train_path, label)
-    other = load_csv(other_path, label)
-    if no_standardize:
-        return train, other
-    train, (other,), _, _ = standardize(train, [other])
-    return train, other
+def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
+    """Load CSVs, all standardized by the first one's fit unless told not to."""
+    first, *others = (load_csv(path, label) for path in paths)
+    if not no_standardize:
+        first, others, _, _ = standardize(first, others)
+    return [first, *others]
 
 
 def _generator_spec(args: argparse.Namespace, k_field: str = "k") -> augment_mod.GeneratorSpec:
@@ -271,7 +259,7 @@ def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
     _require_positive(args.k, "K")
     if args.permutations < 0:
         raise UsageError("permutations must be nonnegative")
-    train, test = _load_pair(args.train, args.test, args.label, args.no_standardize)
+    train, test = _load(args.label, args.no_standardize, args.train, args.test)
     if args.method == "knn_shapley":
         scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
     elif args.method == "exact_shapley":
@@ -346,40 +334,27 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError("eval-pipeline: replicates and arms would share one --exec-in/--exec-out "
                          "pair, so the CI is zero-width; use 'hardshap augment' for one batch")
     gen = _generator_spec(args, k_field="gen_k")
-    train = load_csv(args.train, args.label)
-    valid = load_csv(args.valid, args.label)
-    test = load_csv(args.test, args.label)
-    if not args.no_standardize:
-        train, (valid, test), _, _ = standardize(train, [valid, test])
+    train, valid, test = _load(args.label, args.no_standardize, args.train, args.valid, args.test)
     scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
-    config = evaluation.AugmentPipelineConfig(
-        train, valid, scores, args.tau, args.amount, gen, args.downstream_k
-    )
-    # both arms vote against the same valid->train neighbourhood
-    vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
-    report = evaluation.repeated_gini(
-        config, args.replicates, args.seed, threads=args.threads, vote=vote
-    )
-    evaluation.save_metric_report_csv(
-        report, args.out, header_comment=_header(argv, seed=args.seed, arm="targeted")
-    )
-    print(f"targeted gini={report.point!r} ci=[{report.ci_low!r},{report.ci_high!r}]")
+    arms = [("targeted", args.tau, args.amount, args.out)]
     if args.with_baseline:
         # same synthetic budget spent without targeting
         budget = round_half_up(args.amount * hard_count(args.tau, train.n))
-        baseline_config = evaluation.AugmentPipelineConfig(
-            train, valid, scores, 1.0, budget / train.n, gen, args.downstream_k
+        arms.append(("baseline", 1.0, budget / train.n,
+                     args.baseline_out or f"{args.out}.baseline.csv"))
+    # both arms vote against the same valid->train neighbourhood
+    vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
+    for arm, tau, amount, out in arms:
+        config = evaluation.AugmentPipelineConfig(
+            train, valid, scores, tau, amount, gen, args.downstream_k
         )
-        baseline = evaluation.repeated_gini(
-            baseline_config, args.replicates, args.seed, threads=args.threads, vote=vote
+        report = evaluation.repeated_gini(
+            config, args.replicates, args.seed, threads=args.threads, vote=vote
         )
-        baseline_out = args.baseline_out or f"{args.out}.baseline.csv"
         evaluation.save_metric_report_csv(
-            baseline, baseline_out, header_comment=_header(argv, seed=args.seed, arm="baseline")
+            report, out, header_comment=_header(argv, seed=args.seed, arm=arm)
         )
-        print(
-            f"baseline gini={baseline.point!r} ci=[{baseline.ci_low!r},{baseline.ci_high!r}]"
-        )
+        print(f"{arm} gini={report.point!r} ci=[{report.ci_low!r},{report.ci_high!r}]")
     return 0
 
 
@@ -396,9 +371,7 @@ def _cmd_perturb_bench(args: argparse.Namespace, argv: list[str]) -> int:
     if not proportions or any(not 0.0 < p < 1.0 for p in proportions):
         raise UsageError("proportions must lie in (0, 1)")
     _require_positive(args.runs, "runs")
-    train = load_csv(args.train, args.label)
-    if not args.no_standardize:
-        train, _, _, _ = standardize(train)
+    (train,) = _load(args.label, args.no_standardize, args.train)
     rows = perturb.benchmark(
         train, kinds, proportions, characterizers,
         runs=args.runs, seed=args.seed, k=args.k,
@@ -422,9 +395,7 @@ def _cmd_dataiq(args: argparse.Namespace, argv: list[str]) -> int:
     if args.probs_in:
         cp = dataiq_mod.load_probs_csv(args.probs_in)
     else:
-        train = load_csv(args.train, args.label)
-        if not args.no_standardize:
-            train, _, _, _ = standardize(train)
+        (train,) = _load(args.label, args.no_standardize, args.train)
         cp = dataiq_mod.bagged_checkpoint_probs(
             train, n_checkpoints=args.checkpoints, k=args.k,
             seed=args.seed, threads=args.threads,
@@ -445,7 +416,7 @@ def _cmd_removal_curve(args: argparse.Namespace, argv: list[str]) -> int:
     if unknown:
         raise UsageError(f"unknown strategies: {sorted(unknown)}")
     _require_positive(args.downstream_k, "downstream K")
-    train, valid = _load_pair(args.train, args.valid, args.label, args.no_standardize)
+    train, valid = _load(args.label, args.no_standardize, args.train, args.valid)
     scores = valuation.load_scores_csv(args.scores)
     # each strategy's curve is computed as its rows are written
     rows = (
@@ -512,10 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = _build_parser()
     try:
-        config_path = _prescan_config(argv)
-        if config_path is not None:
-            _merge_config_defaults(sub, argv, config_path)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, sub))
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:

@@ -132,7 +132,8 @@ def auprc(scores: np.ndarray, flags: np.ndarray) -> float:
     """Average precision of a lower-is-harder ranking against planted flags.
 
     Points are ranked ascending by score; ties collapse into one threshold
-    step, so constant scores yield exactly the flag prevalence.
+    step, so constant scores yield exactly the flag prevalence. NaN scores
+    have no place in the ranking and are rejected.
     """
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(flags, dtype=bool)
@@ -141,6 +142,8 @@ def auprc(scores: np.ndarray, flags: np.ndarray) -> float:
     positives = int(flags.sum())
     if positives == 0 or positives == flags.shape[0]:
         raise ValueError("flags must mark at least one and not all rows")
+    if np.isnan(scores).any():
+        raise ValueError("scores must not be NaN")
     order = np.argsort(scores, kind="stable")
     ranked = scores[order]
     # one threshold step per run of equal scores, ending at `stops`
@@ -249,23 +252,13 @@ def benchmark(
 def _probe_split(ds: Dataset, probe_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split off a clean probe set; everything else is the working set."""
     # The splitter is three-way by contract, so carve the probe as the third
-    # part and fold the first two back together.
+    # part and keep every other row, in id order, as the working set.
     half = probe_fraction / 2
-    a, b, probe = stratified_split(
+    _, _, probe = stratified_split(
         ds, SplitSpec(1.0 - probe_fraction - half, half, probe_fraction, seed)
     )
-    return _merge(a, b), probe
-
-
-def _merge(a: Dataset, b: Dataset) -> Dataset:
-    merged_ids = np.concatenate([a.ids, b.ids])
-    order = np.argsort(merged_ids)
-    return Dataset(
-        np.concatenate([a.features, b.features])[order],
-        np.concatenate([a.labels, b.labels])[order],
-        a.feature_names,
-        merged_ids[order],
-    )
+    by_id = np.argsort(ds.ids)
+    return ds.take(by_id[~np.isin(ds.ids[by_id], probe.ids)]), probe
 
 
 def aggregate_benchmark(rows: Sequence[BenchmarkRow]) -> list[tuple[str, float, str, float]]:

@@ -21,21 +21,6 @@ MAX_EXCLUDED_TAIL = 1e-6
 
 
 @dataclass(frozen=True)
-class ToyConfig:
-    """Movable-point location and the quadrature grid for its expected value."""
-
-    x_train: float = 0.0
-    grid: tuple[float, float, float] = TOY_GRID
-
-    def __post_init__(self):
-        lower, upper, step = self.grid
-        if step <= 0:
-            raise ValueError("grid step must be positive")
-        if lower > -8.0 or upper < 8.0:
-            raise ValueError("grid must span at least [-8, 8]")
-
-
-@dataclass(frozen=True)
 class BlobConfig:
     """Four Gaussian components in the plane, two per label."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -23,12 +23,11 @@ from scipy.spatial.distance import cdist
 from . import _io
 from ._util import fixed_chunks, hard_count, parallel_map
 from .dataset import Dataset
-from .neighbors import check_same_dimension, id_sorted_view, rank_all, stable_order
+from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, rank_all, stable_order
 
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
 
 EXACT_MAX_POINTS = 16
-TEST_CHUNK = 256
 SUM_COLUMNS = 1024
 
 
@@ -115,6 +114,30 @@ def _train_sums(block: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _block_pass(
+    train: Dataset, test: Dataset, k: int, threads: int, reduce: Callable, combine: Callable
+) -> np.ndarray:
+    """The recursion over blocks of QUERY_CHUNK test rows, scattered to train row order.
+
+    ``reduce`` maps each (block, n) contribution block to what is kept of
+    it; ``combine`` joins the kept parts, in block order, into an array whose
+    first axis follows the id-sorted train rows.
+    """
+    _check_valuation_inputs(train, test, k)
+    X, y, orig_pos = id_sorted_view(train)
+    weights = _recursion_weights(train.n, k)
+
+    def run(block: tuple[int, int]) -> np.ndarray:
+        lo, hi = block
+        part = _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
+        return reduce(part)
+
+    sorted_values = combine(parallel_map(run, list(fixed_chunks(test.n, QUERY_CHUNK)), threads))
+    values = np.empty(sorted_values.shape)
+    values[orig_pos] = sorted_values
+    return values
+
+
 def knn_shapley_contributions(
     train: Dataset, test: Dataset, k: int, threads: int = 1
 ) -> np.ndarray:
@@ -123,20 +146,8 @@ def knn_shapley_contributions(
     Column j holds every training point's contribution for test point j;
     averaging columns gives the final scores. Rows follow train row order.
     """
-    _check_valuation_inputs(train, test, k)
-    X, y, orig_pos = id_sorted_view(train)
-    weights = _recursion_weights(train.n, k)
-    blocks = list(fixed_chunks(test.n, TEST_CHUNK))
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        return _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-
-    parts = parallel_map(run, blocks, threads)
-    sorted_contrib = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    contrib = np.empty((train.n, test.n))
-    contrib[orig_pos] = sorted_contrib.T
-    return contrib
+    return _block_pass(train, test, k, threads, lambda part: part,
+                       lambda parts: np.concatenate(parts).T)
 
 
 def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> ValuationScores:
@@ -145,23 +156,8 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
     Runs in O(n (d + log n)) per test point and is deterministic for any
     thread count (blocks are reduced in a fixed order).
     """
-    _check_valuation_inputs(train, test, k)
-    X, y, orig_pos = id_sorted_view(train)
-    weights = _recursion_weights(train.n, k)
-    blocks = list(fixed_chunks(test.n, TEST_CHUNK))
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        part = _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-        return _train_sums(part)
-
-    totals = parallel_map(run, blocks, threads)
-    sorted_scores = np.zeros(train.n)
-    for part in totals:
-        sorted_scores += part
-    sorted_scores /= test.n
-    scores = np.empty_like(sorted_scores)
-    scores[orig_pos] = sorted_scores
+    scores = _block_pass(train, test, k, threads, _train_sums,
+                         lambda totals: sum(totals, np.zeros(train.n)) / test.n)
     return ValuationScores(scores, train.ids, "knn_shapley", {"k": k})
 
 

@@ -291,6 +291,48 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, line, bad", [
+    ("value", "method=bogus", "'bogus'"),
+    ("value", "k=abc", "'abc'"),
+    ("augment", "generator=bogus", "'bogus'"),
+])
+def test_bad_config_value_is_rejected_as_the_flag_would_be(tmp_path, capsys, command, line, bad):
+    train = tmp_path / "train.csv"
+    save_csv(Dataset([[-1.0], [0.0], [1.0]], [0, 0, 1], ("x1",), [0, 1, 2]), train, "label")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    rest = {
+        "value": ["--test", str(train)],
+        "augment": ["--scores", str(tmp_path / "scores.csv"), "--tau", "0.5", "--amount", "1"],
+    }[command]
+    argv = [command, "--train", str(train), *rest, "--out", str(out), "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if "error" in l]
+    assert len(errors) == 1 and bad in errors[0], err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_values_write_the_bytes_of_their_flags(tmp_path, blob_files):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no_standardize=yes\nseed=-4\n", encoding="utf-8")
+    common = ["value", "--train", blob_files["train"], "--test", blob_files["test"]]
+    by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
+    assert main([*common, "--no-standardize", "--seed", "-4", "--out", str(by_flags)]) == 0
+    assert main([*common, "--config", str(cfg), "--out", str(by_config)]) == 0
+
+    def body(path):
+        # the first line logs the argv, which differs; keep its logged values
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        return header.rsplit(" | ", 1)[1], rest
+
+    assert body(by_flags) == body(by_config)
+    assert body(by_flags)[0] == "k=5 seed=-4 standardize=False"
+    assert (tmp_path / "flags.csv.meta").read_bytes() == (tmp_path / "config.csv.meta").read_bytes()
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     assert main(["rank", "--scores", str(tmp_path / "missing.csv"),
                  "--out", str(tmp_path / "out.csv")]) == 1

@@ -183,6 +183,10 @@ class TestAuprc:
         assert type(got) is float
         assert got == _loop_auprc(scores, flags)
 
+    def test_nan_scores_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            auprc([np.nan, 0.1, 0.2], [True, False, True])
+
     def test_perfect_ranking(self):
         assert auprc([0.0, 0.1, 0.9, 1.0], [True, True, False, False]) == 1.0
 

@@ -6,7 +6,6 @@ import pytest
 from hardshap.dataset import Dataset
 from hardshap.sim import (
     BlobConfig,
-    ToyConfig,
     gen_blobs,
     gen_toy_mixture,
     toy_1nn_shapleys,
@@ -110,12 +109,6 @@ class TestExpectedShapley:
     def test_narrow_grid_rejected(self):
         with pytest.raises(ValueError, match="tail mass"):
             toy_expected_shapley(0.0, (-3.0, 3.0, 1e-3))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="span"):
-            ToyConfig(grid=(-4.0, 8.0, 1e-3))
-        with pytest.raises(ValueError, match="step"):
-            ToyConfig(grid=(-8.0, 8.0, 0.0))
 
 
 class TestBlobs:
