@@ -17,7 +17,6 @@ from .dataiq import (
 )
 from .dataset import Dataset, SplitSpec, load_csv, save_csv, standardize, stratified_split
 from .evaluation import (
-    AugmentPipelineConfig,
     CachedVote,
     MetricReport,
     auc_roc,
@@ -55,7 +54,6 @@ from .valuation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentPipelineConfig",
     "CachedVote",
     "BlobConfig",
     "CheckpointProbs",

@@ -49,19 +49,15 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class SyntheticBatch:
-    """Generated rows plus where they came from."""
+    """Generated rows and their labels, in the order they are appended to train."""
 
     rows: np.ndarray
     labels: np.ndarray
-    generator: str
-    seed: int
-    source_ids: np.ndarray
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=np.float64)
         labels = np.array(self.labels, dtype=np.int64)
-        source_ids = np.array(self.source_ids, dtype=np.int64)
-        for arr in (rows, labels, source_ids):
+        for arr in (rows, labels):
             arr.setflags(write=False)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("batch must contain at least one row")
@@ -71,7 +67,6 @@ class SyntheticBatch:
             raise ValueError("synthetic rows contain NaN or infinite entries")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "source_ids", source_ids)
 
     @property
     def m(self) -> int:
@@ -126,7 +121,7 @@ def smote_generate(
         rows[out:out + quota] = base + u * (partner - base)
         labels[out:out + quota] = cls
         out += quota
-    return SyntheticBatch(rows, labels, "smote", seed, source.ids)
+    return SyntheticBatch(rows, labels)
 
 
 class ExternalGeneratorError(RuntimeError):
@@ -134,7 +129,7 @@ class ExternalGeneratorError(RuntimeError):
 
 
 def external_generate(
-    source: Dataset, m: int, exec_in: str | Path, exec_out: str | Path, seed: int = 0
+    source: Dataset, m: int, exec_in: str | Path, exec_out: str | Path
 ) -> SyntheticBatch:
     """File handshake with an out-of-process generator.
 
@@ -159,19 +154,19 @@ def external_generate(
         raise ExternalGeneratorError("external rows use labels absent from the source subset")
     if synth.n < m:
         raise ExternalGeneratorError(f"external generator produced {synth.n} rows, need {m}")
-    return SyntheticBatch(synth.features[:m], synth.labels[:m], "external", seed, source.ids)
+    return SyntheticBatch(synth.features[:m], synth.labels[:m])
 
 
 def generate(source: Dataset, m: int, gen: GeneratorSpec) -> SyntheticBatch:
     """Dispatch to the generator named by the spec."""
-    seed = int(gen.params.get("seed", 0))
     if gen.kind == "smote":
-        return smote_generate(source, m, int(gen.params.get("k_neighbors", 5)), seed)
+        k_neighbors, seed = int(gen.params.get("k_neighbors", 5)), int(gen.params.get("seed", 0))
+        return smote_generate(source, m, k_neighbors, seed)
     exec_in = gen.params.get("exec_in")
     exec_out = gen.params.get("exec_out")
     if not exec_in or not exec_out:
         raise ValueError("external generator requires exec_in and exec_out paths")
-    return external_generate(source, m, str(exec_in), str(exec_out), seed)
+    return external_generate(source, m, str(exec_in), str(exec_out))
 
 
 def append_batch(train: Dataset, batch: SyntheticBatch) -> Dataset:
@@ -188,17 +183,13 @@ def append_batch(train: Dataset, batch: SyntheticBatch) -> Dataset:
     )
 
 
-def targeted_augment(
-    train: Dataset,
-    scores: ValuationScores,
-    tau: float,
-    amount: float,
-    gen: GeneratorSpec,
-) -> Dataset:
-    """Fit the generator on the tau-hardest rows and union its samples with train.
+def targeted_batch(
+    train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
+) -> SyntheticBatch:
+    """Rows the generator draws after fitting on the tau-hardest rows of train.
 
-    Generates round(amount * ceil(tau*n)) rows; tau=1 is the non-targeted
-    baseline. Original rows and ids are untouched.
+    Draws round(amount * ceil(tau*n)) rows; tau=1 is the non-targeted
+    baseline.
     """
     if amount <= 0:
         raise ValueError("amount must be positive")
@@ -206,8 +197,14 @@ def targeted_augment(
     m = round_half_up(amount * hard.n)
     if m == 0:
         raise ValueError(f"amount {amount} of {hard.n} hard rows rounds to zero synthetic rows")
-    batch = generate(hard, m, gen)
-    return append_batch(train, batch)
+    return generate(hard, m, gen)
+
+
+def targeted_augment(
+    train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
+) -> Dataset:
+    """Train followed by ``targeted_batch``'s rows; original rows and ids are untouched."""
+    return append_batch(train, targeted_batch(train, scores, tau, amount, gen))
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

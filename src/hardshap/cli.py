@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +37,20 @@ def _comma_names(text: str) -> list[str]:
     return [v.strip() for v in text.split(",") if v.strip()]
 
 
+def _at_least(low: int, name: str) -> Callable[[str], int]:
+    """argparse ``type=`` for an integer flag; a value below ``low`` exits 2 naming the flag."""
+    bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'abc'"
+    return parse
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
     parser = argparse.ArgumentParser(
         prog="hardshap",
@@ -45,21 +60,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
 
     def common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--threads", type=int, default=1, help="parallelism cap (default 1)")
+        p.add_argument("--threads", type=_at_least(1, "threads"), default=1,
+                       help="parallelism cap (default 1)")
         if seeded:
-            p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0, logged)")
+            p.add_argument("--seed", type=_at_least(0, "seed"), default=0,
+                           help="PRNG seed (default 0, logged)")
 
     p = sub.add_parser("value", help="score training points (lower = harder)")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--label", default="label", help="label column name (default label)")
-    p.add_argument("--k", type=int, default=5, help="neighborhood size (default 5)")
-    p.add_argument(
-        "--method",
-        choices=("knn_shapley", "exact_shapley", "tmc_shapley"),
-        default="knn_shapley",
-    )
-    p.add_argument("--permutations", type=int, default=0, help="tmc only; 0 means 100*n")
+    p.add_argument("--k", type=_at_least(1, "K"), default=5, help="neighborhood size (default 5)")
+    p.add_argument("--method", choices=valuation.METHODS, default="knn_shapley")
+    p.add_argument("--permutations", type=_at_least(0, "permutations"), default=0,
+                   help="tmc only; 0 means 100*n")
     p.add_argument("--truncation-tol", type=float, default=1e-4, help="tmc early-stop tolerance")
     p.add_argument("--no-standardize", action="store_true", help="skip train-fitted scaling")
     p.add_argument("--out", required=True)
@@ -77,7 +91,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--tau", type=float, required=True, help="hardest fraction in (0, 1]")
     p.add_argument("--amount", type=float, required=True, help="synthetic rows per hard row")
     p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS)
-    p.add_argument("--k", type=int, default=5, help="SMOTE neighbor count (default 5)")
+    p.add_argument("--k", type=_at_least(1, "K"), default=5,
+                   help="SMOTE neighbor count (default 5)")
     p.add_argument("--exec-in", help="external generator: where to write the hard subset")
     p.add_argument("--exec-out", help="external generator: where to read synthetic rows")
     p.add_argument("--out", required=True)
@@ -95,15 +110,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--valid", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--k", type=int, default=5, help="valuation neighborhood size")
-    p.add_argument("--downstream-k", type=int, default=evaluation.DOWNSTREAM_K)
+    p.add_argument("--k", type=_at_least(1, "K"), default=5, help="valuation neighborhood size")
+    p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
+                   default=evaluation.DOWNSTREAM_K)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--amount", type=float, required=True)
     p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS)
-    p.add_argument("--gen-k", type=int, default=5, help="SMOTE neighbor count")
+    p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=5, help="SMOTE neighbor count")
     p.add_argument("--exec-in")
     p.add_argument("--exec-out")
-    p.add_argument("--replicates", type=int, default=30)
+    p.add_argument("--replicates", type=_at_least(2, "replicates"), default=30)
     p.add_argument("--with-baseline", action="store_true", help="also run the tau=1 arm")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
@@ -116,9 +132,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--kinds", default=",".join(perturb.KINDS))
     p.add_argument("--proportions", default="0.05,0.1,0.15,0.2")
     p.add_argument("--characterizers", default=",".join(perturb.CHARACTERIZERS))
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--checkpoints", type=int, default=10)
+    p.add_argument("--runs", type=_at_least(1, "runs"), default=3)
+    p.add_argument("--k", type=_at_least(1, "K"), default=5)
+    p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--mean-out", help="default: <out> with a .mean.csv suffix")
@@ -127,8 +143,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p = sub.add_parser("dataiq", help="confidence/aleatoric tags over checkpoints")
     p.add_argument("--train", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--checkpoints", type=int, default=10)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
+    p.add_argument("--k", type=_at_least(1, "K"), default=5)
     p.add_argument("--thresholds", default="0.25,0.75,0.2", help="low_conf,high_conf,low_aleatoric")
     p.add_argument("--probs-in", help="use externally produced checkpoint probabilities")
     p.add_argument("--probs-out", help="also write the checkpoint probability matrix")
@@ -143,7 +159,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--label", default="label")
     p.add_argument("--fractions", default="0,0.05,0.1,0.2")
     p.add_argument("--strategies", default="hardest,random")
-    p.add_argument("--downstream-k", type=int, default=evaluation.DOWNSTREAM_K)
+    p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
+                   default=evaluation.DOWNSTREAM_K)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
     common(p)
@@ -157,9 +174,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p = sub.add_parser("sim-blobs", help="write train/valid/test CSVs of 2-D Gaussian blobs")
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--n-train", type=int, default=5000)
-    p.add_argument("--n-valid", type=int, default=2500)
-    p.add_argument("--n-test", type=int, default=2500)
+    p.add_argument("--n-train", type=_at_least(1, "n-train"), default=5000)
+    p.add_argument("--n-valid", type=_at_least(1, "n-valid"), default=2500)
+    p.add_argument("--n-test", type=_at_least(1, "n-test"), default=2500)
     p.add_argument("--cov-scale", type=float, default=1.0)
     common(p)
 
@@ -256,9 +273,6 @@ def _generator_spec(args: argparse.Namespace, k_field: str = "k") -> augment_mod
 
 
 def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
-    _require_positive(args.k, "K")
-    if args.permutations < 0:
-        raise UsageError("permutations must be nonnegative")
     train, test = _load(args.label, args.no_standardize, args.train, args.test)
     if args.method == "knn_shapley":
         scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
@@ -323,13 +337,9 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    _require_positive(args.k, "K")
-    _require_positive(args.downstream_k, "downstream K")
     if not 0.0 < args.tau <= 1.0:
         raise UsageError("tau must lie in (0, 1]")
     _require_positive(args.amount, "amount")
-    if args.replicates < 2:
-        raise UsageError("replicates must be at least 2")
     if args.generator == "external":
         raise UsageError("eval-pipeline: replicates and arms would share one --exec-in/--exec-out "
                          "pair, so the CI is zero-width; use 'hardshap augment' for one batch")
@@ -345,11 +355,8 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     # both arms vote against the same valid->train neighbourhood
     vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
     for arm, tau, amount, out in arms:
-        config = evaluation.AugmentPipelineConfig(
-            train, valid, scores, tau, amount, gen, args.downstream_k
-        )
         report = evaluation.repeated_gini(
-            config, args.replicates, args.seed, threads=args.threads, vote=vote
+            vote, scores, tau, amount, gen, args.replicates, args.seed, threads=args.threads
         )
         evaluation.save_metric_report_csv(
             report, out, header_comment=_header(argv, seed=args.seed, arm=arm)
@@ -370,7 +377,6 @@ def _cmd_perturb_bench(args: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError(f"unknown characterizers: {sorted(unknown)}")
     if not proportions or any(not 0.0 < p < 1.0 for p in proportions):
         raise UsageError("proportions must lie in (0, 1)")
-    _require_positive(args.runs, "runs")
     (train,) = _load(args.label, args.no_standardize, args.train)
     rows = perturb.benchmark(
         train, kinds, proportions, characterizers,
@@ -388,9 +394,6 @@ def _cmd_dataiq(args: argparse.Namespace, argv: list[str]) -> int:
     thresholds = tuple(_comma_floats(args.thresholds))
     if len(thresholds) != 3:
         raise UsageError("thresholds must be low_conf,high_conf,low_aleatoric")
-    _require_positive(args.k, "K")
-    if args.checkpoints < 2:
-        raise UsageError("need at least 2 checkpoints")
     header = _header(argv, seed=args.seed)
     if args.probs_in:
         cp = dataiq_mod.load_probs_csv(args.probs_in)
@@ -415,7 +418,6 @@ def _cmd_removal_curve(args: argparse.Namespace, argv: list[str]) -> int:
     unknown = set(strategies) - {"hardest", "random"}
     if unknown:
         raise UsageError(f"unknown strategies: {sorted(unknown)}")
-    _require_positive(args.downstream_k, "downstream K")
     train, valid = _load(args.label, args.no_standardize, args.train, args.valid)
     scores = valuation.load_scores_csv(args.scores)
     # each strategy's curve is computed as its rows are written
@@ -450,8 +452,6 @@ def _cmd_sim_toy(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_sim_blobs(args: argparse.Namespace, argv: list[str]) -> int:
-    for name in ("n_train", "n_valid", "n_test"):
-        _require_positive(getattr(args, name), name)
     if args.cov_scale < 0:
         raise UsageError("cov-scale must be nonnegative")
     cfg = sim.BlobConfig(
@@ -490,8 +490,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError("threads must be at least 1")
         return _COMMANDS[args.command](args, argv)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

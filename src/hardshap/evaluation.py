@@ -6,18 +6,19 @@ augmentation and removal comparisons need. Externally produced probability
 files can be scored through the same metrics.
 
 Every vote ranks a query row's training columns by (distance, column) over
-the id-sorted training set, so distance ties go to the lower id. Augmented
-sets are voted through ``CachedVote``, which computes the valid->train
+the id-sorted training set, so distance ties go to the lower id. Synthetic
+batches are voted through ``CachedVote``, which computes the valid->train
 neighbourhood once: for each query row it keeps the K nearest training
-columns, by (distance, column), with their distances. An augmented set
-appends rows whose ids exceed every training id, so in its id-sorted view
-they come after every training column, in id order. A training row outside
-the cached K has K training rows ahead of it, which stay ahead of it in the
-augmented set. So the K nearest of [the K cached columns, then the new rows
-by id] are the K nearest of the whole augmented set: at equal distance a
-cached column precedes every new row and a lower column a higher one, as in
-the full order. The vote is bit-equal to ``knn_predict_proba`` refitted on
-the augmented set, and each replicate computes only its new rows' distances.
+columns, by (distance, column), with their distances. ``append_batch`` gives
+a batch's rows ids above every training id, in batch order, so they come
+after every training column, in batch order. A training row outside the
+cached K has K training rows ahead of it, which stay ahead of it once the
+batch is added. So the K nearest of [the K cached columns, then the batch
+rows] are the K nearest of train plus batch: at equal distance a cached
+column precedes every batch row and a lower column a higher one, as in the
+full order. The vote is bit-equal to ``knn_predict_proba`` refitted on the
+augmented set, which is never built: a replicate computes only its batch's
+distances.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.stats import rankdata
 
 from . import _io
 from ._util import fixed_chunks, parallel_map, round_half_up
-from .augment import GeneratorSpec, targeted_augment
+from .augment import GeneratorSpec, SyntheticBatch, targeted_batch
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, smallest_k
 from .valuation import ValuationScores, rank_by_hardness
@@ -89,12 +90,12 @@ def _vote(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
 
 class CachedVote:
-    """``knn_predict_proba`` of one query set against augmentations of one train set.
+    """``knn_predict_proba`` of one query set against one train set plus a synthetic batch.
 
     Built once from the K nearest training columns of every query row, with
-    their distances and labels; ``predict_proba`` computes only the added
+    their distances and labels; ``predict_proba`` computes only the batch
     rows' distances (the module docstring shows why the result is exact).
-    Memory is query rows x K, plus ``QUERY_CHUNK`` x (K + added rows) while
+    Memory is query rows x K, plus ``QUERY_CHUNK`` x (K + batch rows) while
     voting.
     """
 
@@ -116,30 +117,18 @@ class CachedVote:
         self.labels = np.concatenate([labels for _, labels in parts])
         self.train, self.query, self.k = train, query, k
 
-    def predict_proba(self, augmented: Dataset) -> np.ndarray:
-        """Equals ``knn_predict_proba(augmented, query, k)``.
-
-        augmented must hold the training rows first, unchanged, and then
-        rows whose ids exceed every training id, as ``append_batch`` builds it.
-        """
-        _check_vote(augmented, self.query, self.k)
-        train, n = self.train, self.train.n
-        new_ids = augmented.ids[n:]
-        if not (
-            np.array_equal(augmented.ids[:n], train.ids)
-            and np.array_equal(augmented.features[:n], train.features)
-            and np.array_equal(augmented.labels[:n], train.labels)
-            and (new_ids.size == 0 or new_ids.min() > train.ids.max())
-        ):
-            raise ValueError("augmented set must be the training rows, then rows with larger ids")
-        by_id = np.argsort(new_ids)
-        new_X, new_y = augmented.features[n:][by_id], augmented.labels[n:][by_id]
+    def predict_proba(self, batch: SyntheticBatch) -> np.ndarray:
+        """Equals ``knn_predict_proba(append_batch(train, batch), query, k)``."""
+        if batch.rows.shape[1] != self.query.d:
+            raise ValueError(f"dimension mismatch: {batch.rows.shape[1]} vs {self.query.d}")
+        if self.k > self.train.n + batch.m:
+            raise ValueError(f"K={self.k} out of range for {self.train.n + batch.m} training rows")
         out = np.empty(self.query.n)
         for lo, hi in fixed_chunks(self.query.n, QUERY_CHUNK):
-            new_dist = cdist(self.query.features[lo:hi], new_X)
+            new_dist = cdist(self.query.features[lo:hi], batch.rows)
             dist = np.concatenate([self.dist[lo:hi], new_dist], axis=1)
             labels = np.concatenate(
-                [self.labels[lo:hi], np.broadcast_to(new_y, new_dist.shape)], axis=1
+                [self.labels[lo:hi], np.broadcast_to(batch.labels, new_dist.shape)], axis=1
             )
             out[lo:hi] = _vote(dist, labels, self.k)
         return out
@@ -178,47 +167,25 @@ def _normal_ci(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
-@dataclass(frozen=True)
-class AugmentPipelineConfig:
-    """Everything one augment-fit-score replicate needs besides its seed."""
-
-    train: Dataset
-    valid: Dataset
-    scores: ValuationScores
-    tau: float
-    amount: float
-    generator: GeneratorSpec
-    downstream_k: int = DOWNSTREAM_K
-
-
 def repeated_gini(
-    config: AugmentPipelineConfig,
-    replicates: int,
-    base_seed: int = 0,
-    threads: int = 1,
-    vote: CachedVote | None = None,
+    vote: CachedVote, scores: ValuationScores, tau: float, amount: float,
+    generator: GeneratorSpec, replicates: int, base_seed: int = 0, threads: int = 1,
 ) -> MetricReport:
     """Validation Gini of augment -> fit -> score, repeated over derived seeds.
 
-    Only the generator draw varies between replicates; the report carries
-    every replicate plus the mean and its 95% CI. Each fit is a
-    ``CachedVote`` over the config's train and valid sets; pass one to share
-    it between runs (arms) over the same sets, or one is built here.
+    Each replicate draws a ``targeted_batch`` from the vote's train set and
+    votes it against the vote's query set. Only the generator draw varies
+    between replicates; the report carries every replicate plus the mean
+    and its 95% CI. Arms over the same sets share one vote.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a confidence interval")
-    if vote is None:
-        vote = CachedVote(config.train, config.valid, config.downstream_k, threads)
-    elif not (
-        vote.train is config.train and vote.query is config.valid and vote.k == config.downstream_k
-    ):
-        raise ValueError("vote was built for another train set, valid set or K")
     children = np.random.SeedSequence(base_seed).spawn(replicates)
 
     def one(child: np.random.SeedSequence) -> float:
-        gen = config.generator.with_seed(int(child.generate_state(1)[0]))
-        augmented = targeted_augment(config.train, config.scores, config.tau, config.amount, gen)
-        return gini(vote.predict_proba(augmented), config.valid.labels)
+        gen = generator.with_seed(int(child.generate_state(1)[0]))
+        batch = targeted_batch(vote.train, scores, tau, amount, gen)
+        return gini(vote.predict_proba(batch), vote.query.labels)
 
     values = np.array(parallel_map(one, children, threads))
     mean, lo, hi = _normal_ci(values)

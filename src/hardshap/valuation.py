@@ -12,6 +12,7 @@ ones whose presence hurts nearest-neighbor predictions on the test set.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -350,5 +351,8 @@ def load_scores_csv(path: str | Path) -> ValuationScores:
             if "=" in line:
                 key, _, value = line.partition("=")
                 if key != "method":
-                    params[key] = value
+                    try:  # the value the writer spelled with str(), or else its text
+                        params[key] = ast.literal_eval(value)
+                    except (ValueError, TypeError, SyntaxError):
+                        params[key] = value
     return ValuationScores(cols.floats[:, 0], cols.ids, method, params)

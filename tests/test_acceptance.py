@@ -18,7 +18,7 @@ import numpy as np
 import hardshap
 from hardshap.augment import GeneratorSpec
 from hardshap.dataset import Dataset
-from hardshap.evaluation import AugmentPipelineConfig, removal_curve, repeated_gini
+from hardshap.evaluation import CachedVote, removal_curve, repeated_gini
 from hardshap.perturb import benchmark
 from hardshap.sim import BlobConfig, gen_blobs, toy_expected_shapley, toy_interval_table
 from hardshap.valuation import (
@@ -183,14 +183,10 @@ def test_criterion_08_targeted_vs_nontargeted():
     train, valid, test = gen_blobs(BlobConfig(seed=0))
     scores = knn_shapley(train, test, 5)
     gen = GeneratorSpec("smote", {"k_neighbors": 5, "seed": 0})
-    targeted = repeated_gini(
-        AugmentPipelineConfig(train, valid, scores, 0.05, 1.0, gen), 30, base_seed=42
-    )
+    vote = CachedVote(train, valid)
+    targeted = repeated_gini(vote, scores, 0.05, 1.0, gen, 30, base_seed=42)
     budget = round(1.0 * math.ceil(0.05 * train.n))
-    nontargeted = repeated_gini(
-        AugmentPipelineConfig(train, valid, scores, 1.0, budget / train.n, gen),
-        30, base_seed=42,
-    )
+    nontargeted = repeated_gini(vote, scores, 1.0, budget / train.n, gen, 30, base_seed=42)
     diff = np.array(targeted.replicates) - np.array(nontargeted.replicates)
     half = 1.96 * diff.std(ddof=1) / math.sqrt(len(diff))
     ci_low = diff.mean() - half

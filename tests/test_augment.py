@@ -14,6 +14,7 @@ from hardshap.augment import (
     generate,
     smote_generate,
     targeted_augment,
+    targeted_batch,
     weighted_ks,
 )
 from hardshap.dataset import Dataset, load_csv, save_csv
@@ -153,6 +154,16 @@ class TestTargetedAugment:
         assert len(np.unique(out.ids)) == out.n
         assert out.ids[200:].min() > train.ids.max()
 
+    def test_batch_is_the_rows_appended_to_train(self):
+        rng = np.random.default_rng(19)
+        train = random_dataset(rng, 120, d=2)
+        spec = GeneratorSpec("smote", {"k_neighbors": 3, "seed": 5})
+        batch = targeted_batch(train, scored(train), 0.25, 0.4, spec)
+        out = targeted_augment(train, scored(train), 0.25, 0.4, spec)
+        assert batch.m == out.n - train.n == 12
+        assert np.array_equal(out.features[train.n:], batch.rows)
+        assert np.array_equal(out.labels[train.n:], batch.labels)
+
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(10)
         train = random_dataset(rng, 150, d=3)
@@ -171,7 +182,7 @@ class TestExternalGenerator:
         exec_out = tmp_path / "synth.csv"
         fake = random_dataset(rng, 12, d=2)
         save_csv(fake, exec_out, "label")
-        batch = external_generate(source, 10, exec_in, exec_out, seed=3)
+        batch = external_generate(source, 10, exec_in, exec_out)
         assert batch.m == 10
         assert exec_in.exists()
         written = load_csv(exec_in, "label")
@@ -203,7 +214,7 @@ class TestWeightedKs:
     def batch(self, rows, labels=None):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         labels = np.zeros(rows.shape[0], dtype=int) if labels is None else labels
-        return SyntheticBatch(rows, labels, "smote", 0, np.arange(rows.shape[0]))
+        return SyntheticBatch(rows, labels)
 
     def test_identical_samples_score_zero(self):
         rng = np.random.default_rng(15)
@@ -258,7 +269,7 @@ class TestAppendBatch:
         rng = np.random.default_rng(18)
         train = Dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0], ("a", "b"),
                         [100, 3, 7, 9, 55])
-        batch = SyntheticBatch(rng.normal(size=(3, 2)), [0, 1, 0], "smote", 0, train.ids)
+        batch = SyntheticBatch(rng.normal(size=(3, 2)), [0, 1, 0])
         out = append_batch(train, batch)
         assert out.ids[:5].tolist() == [100, 3, 7, 9, 55]
         assert out.ids[5:].tolist() == [101, 102, 103]

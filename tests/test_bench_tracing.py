@@ -41,11 +41,14 @@ def traced_spans(tmp_path_factory):
         ["value", "--train", f"{tiny}_train.csv", "--test", f"{tiny}_test.csv",
          "--method", "tmc_shapley", "--permutations", "20", "--out", str(root / "tmc.csv")],
         ["rank", "--scores", scores, "--out", str(root / "rank.csv")],
+        ["augment", "--train", train, "--scores", scores, "--tau", "0.2", "--amount", "1",
+         "--generator", "smote", "--out", str(root / "augmented.csv")],
         ["eval-pipeline", "--train", train, "--valid", valid, "--test", test, "--tau", "0.2",
          "--amount", "1", "--generator", "smote", "--replicates", "2", "--downstream-k", "3",
          "--out", str(root / "eval.csv")],
         ["perturb-bench", "--train", train, "--runs", "1", "--proportions", "0.1",
          "--checkpoints", "2", "--out", str(root / "bench.csv")],
+        ["dataiq", "--train", train, "--checkpoints", "2", "--out", str(root / "tags.csv")],
         ["removal-curve", "--train", train, "--valid", valid, "--scores", scores,
          "--downstream-k", "3", "--out", str(root / "curve.csv")],
         ["sim-toy", "--grid=-8,8,0.01"],
@@ -54,7 +57,13 @@ def traced_spans(tmp_path_factory):
     with tracer.installed():
         for argv in runs:
             assert main(argv) == 0, argv
-        evaluation.knn_predict_proba(load_csv(train, "label"), load_csv(valid, "label"), 3)
+        rows = load_csv(valid, "label")
+        # eval scores any probability per valid row; here, its first feature
+        probs = root / "probs.csv"
+        probs.write_text("id,prob\n" + "".join(
+            f"{i},{x!r}\n" for i, x in zip(rows.ids.tolist(), rows.features[:, 0].tolist())))
+        assert main(["eval", "--probs", str(probs), "--labels", valid]) == 0
+        evaluation.knn_predict_proba(load_csv(train, "label"), rows, 3)
     return tracer.spans
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardshap import augment, evaluation, neighbors
+from hardshap import augment, evaluation, neighbors, valuation
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
 from hardshap.neighbors import QUERY_CHUNK
@@ -278,10 +278,10 @@ def test_config_file_with_flag_override(tmp_path, blob_files):
         encoding="utf-8",
     )
     assert main(["value", "--config", str(cfg)]) == 0
-    assert load_scores_csv(tmp_path / "from_config.csv").params["k"] == "3"
+    assert load_scores_csv(tmp_path / "from_config.csv").params["k"] == 3
     override = tmp_path / "override.csv"
     assert main(["value", "--config", str(cfg), "--k", "7", "--out", str(override)]) == 0
-    assert load_scores_csv(override).params["k"] == "7"
+    assert load_scores_csv(override).params["k"] == 7
 
 
 def test_unknown_config_key(tmp_path, capsys):
@@ -317,10 +317,10 @@ def test_bad_config_value_is_rejected_as_the_flag_would_be(tmp_path, capsys, com
 
 def test_config_values_write_the_bytes_of_their_flags(tmp_path, blob_files):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("no_standardize=yes\nseed=-4\n", encoding="utf-8")
+    cfg.write_text("no_standardize=yes\nseed=4\n", encoding="utf-8")
     common = ["value", "--train", blob_files["train"], "--test", blob_files["test"]]
     by_flags, by_config = tmp_path / "flags.csv", tmp_path / "config.csv"
-    assert main([*common, "--no-standardize", "--seed", "-4", "--out", str(by_flags)]) == 0
+    assert main([*common, "--no-standardize", "--seed", "4", "--out", str(by_flags)]) == 0
     assert main([*common, "--config", str(cfg), "--out", str(by_config)]) == 0
 
     def body(path):
@@ -329,8 +329,76 @@ def test_config_values_write_the_bytes_of_their_flags(tmp_path, blob_files):
         return header.rsplit(" | ", 1)[1], rest
 
     assert body(by_flags) == body(by_config)
-    assert body(by_flags)[0] == "k=5 seed=-4 standardize=False"
+    assert body(by_flags)[0] == "k=5 seed=4 standardize=False"
     assert (tmp_path / "flags.csv.meta").read_bytes() == (tmp_path / "config.csv.meta").read_bytes()
+
+
+_REQUIRED = {
+    "value": ["--train", "in.csv", "--test", "in.csv", "--out"],
+    "rank": ["--scores", "in.csv", "--out"],
+    "augment": ["--train", "in.csv", "--scores", "in.csv", "--tau", "0.5", "--amount", "1",
+                "--generator", "smote", "--out"],
+    "eval-pipeline": ["--train", "in.csv", "--valid", "in.csv", "--test", "in.csv",
+                      "--tau", "0.5", "--amount", "1", "--generator", "smote", "--out"],
+    "perturb-bench": ["--train", "in.csv", "--out"],
+    "dataiq": ["--train", "in.csv", "--out"],
+    "removal-curve": ["--train", "in.csv", "--valid", "in.csv", "--scores", "in.csv", "--out"],
+    "sim-blobs": ["--out-prefix"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("value", "--k", "0"),
+    ("augment", "--k", "0"),
+    ("perturb-bench", "--k", "0"),
+    ("dataiq", "--k", "0"),
+    ("eval-pipeline", "--k", "0"),
+    ("eval-pipeline", "--gen-k", "0"),
+    ("eval-pipeline", "--downstream-k", "0"),
+    ("removal-curve", "--downstream-k", "0"),
+    ("eval-pipeline", "--replicates", "1"),
+    ("perturb-bench", "--checkpoints", "1"),
+    ("dataiq", "--checkpoints", "1"),
+    ("perturb-bench", "--runs", "0"),
+    ("value", "--permutations", "-1"),
+    ("sim-blobs", "--n-train", "0"),
+    ("sim-blobs", "--n-valid", "0"),
+    ("sim-blobs", "--n-test", "0"),
+    ("sim-blobs", "--seed", "-4"),
+    ("value", "--seed", "-4"),
+    ("rank", "--threads", "0"),
+])
+def test_numeric_flag_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                      command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *_REQUIRED[command], "out", flag, value]) == 2
+    err = capsys.readouterr().err
+    errors = [l for l in err.splitlines() if "error" in l]
+    assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("knn_shapley", []),
+    ("exact_shapley", ["--no-standardize"]),
+    ("tmc_shapley", ["--permutations", "20", "--truncation-tol", "0.001"]),
+])
+def test_value_params_read_back_typed(tmp_path, monkeypatch, method, extra):
+    train = tmp_path / "train.csv"
+    save_csv(Dataset([[-1.0], [0.0], [1.0], [2.0]], [0, 0, 1, 1], ("x1",), [0, 1, 2, 3]),
+             train, "label")
+    written = []
+    save = valuation.save_scores_csv
+    monkeypatch.setattr(valuation, "save_scores_csv",
+                        lambda scores, *a, **kw: (written.append(scores), save(scores, *a, **kw)))
+    out = tmp_path / "scores.csv"
+    assert main(["value", "--train", str(train), "--test", str(train), "--k", "2",
+                 "--method", method, "--seed", "3", "--out", str(out), *extra]) == 0
+    params = load_scores_csv(out).params
+    assert params == written[0].params
+    assert {key: type(v) for key, v in params.items()} == {
+        key: type(v) for key, v in written[0].params.items()}
+    assert params["seed"] == 3
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):

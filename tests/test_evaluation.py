@@ -1,6 +1,6 @@
-import dataclasses
 import math
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from hardshap import evaluation
 from hardshap._util import round_half_up
-from hardshap.augment import GeneratorSpec, SyntheticBatch, append_batch, targeted_augment
+from hardshap.augment import (
+    GeneratorSpec,
+    SyntheticBatch,
+    append_batch,
+    targeted_augment,
+    targeted_batch,
+)
 from hardshap.dataset import Dataset
 from hardshap.evaluation import (
-    AugmentPipelineConfig,
     CachedVote,
     MetricReport,
     _normal_ci,
@@ -133,6 +138,16 @@ class TestNormalCi:
         assert narrow_half < wide_half / 1.5
 
 
+class Pipeline(NamedTuple):
+    """repeated_gini's arguments before the replicate count."""
+
+    vote: CachedVote
+    scores: ValuationScores
+    tau: float
+    amount: float
+    generator: GeneratorSpec
+
+
 @pytest.fixture(scope="module")
 def pipeline():
     # overlapping blobs so the hard subset keeps both classes well
@@ -146,52 +161,52 @@ def pipeline():
     train, valid, test = draw(300), draw(150), draw(150)
     scores = knn_shapley(train, test, 5)
     gen = GeneratorSpec("smote", {"k_neighbors": 2, "seed": 0})
-    return AugmentPipelineConfig(train, valid, scores, 0.3, 1.0, gen, downstream_k=9)
+    return Pipeline(CachedVote(train, valid, 9), scores, 0.3, 1.0, gen)
 
 
 class TestRepeatedGini:
 
     def test_deterministic_given_base_seed(self, pipeline):
-        a = repeated_gini(pipeline, replicates=4, base_seed=5)
-        b = repeated_gini(pipeline, replicates=4, base_seed=5)
+        a = repeated_gini(*pipeline, replicates=4, base_seed=5)
+        b = repeated_gini(*pipeline, replicates=4, base_seed=5)
         assert a == b
 
     def test_report_shape(self, pipeline):
-        report = repeated_gini(pipeline, replicates=5, base_seed=1)
+        report = repeated_gini(*pipeline, replicates=5, base_seed=1)
         assert len(report.replicates) == 5
         assert report.ci_low <= report.point <= report.ci_high
         assert report.metric == "gini"
 
     def test_needs_two_replicates(self, pipeline):
         with pytest.raises(ValueError, match="2 replicates"):
-            repeated_gini(pipeline, replicates=1, base_seed=0)
+            repeated_gini(*pipeline, replicates=1, base_seed=0)
 
     def test_thread_count_invariance(self, pipeline):
-        a = repeated_gini(pipeline, replicates=4, base_seed=2, threads=1)
-        b = repeated_gini(pipeline, replicates=4, base_seed=2, threads=4)
+        a = repeated_gini(*pipeline, replicates=4, base_seed=2, threads=1)
+        b = repeated_gini(*pipeline, replicates=4, base_seed=2, threads=4)
         assert a == b
 
     def test_replicates_equal_a_refit_on_each_augmented_set(self, pipeline):
+        vote = pipeline.vote
         children = np.random.SeedSequence(6).spawn(3)
         expected = []
         for child in children:
             gen = pipeline.generator.with_seed(int(child.generate_state(1)[0]))
-            augmented = targeted_augment(pipeline.train, pipeline.scores, pipeline.tau,
+            augmented = targeted_augment(vote.train, pipeline.scores, pipeline.tau,
                                          pipeline.amount, gen)
-            probs = knn_predict_proba(augmented, pipeline.valid, pipeline.downstream_k)
-            expected.append(gini(probs, pipeline.valid.labels))
+            probs = knn_predict_proba(augmented, vote.query, vote.k)
+            expected.append(gini(probs, vote.query.labels))
         for threads in (1, 4):
-            report = repeated_gini(pipeline, replicates=3, base_seed=6, threads=threads)
+            report = repeated_gini(*pipeline, replicates=3, base_seed=6, threads=threads)
             assert report.replicates == tuple(expected)
 
     def test_vote_shared_between_arms(self, pipeline):
-        vote = CachedVote(pipeline.train, pipeline.valid, pipeline.downstream_k)
-        baseline = dataclasses.replace(pipeline, tau=1.0, amount=0.3)
-        for config in (pipeline, baseline):
-            assert repeated_gini(config, 3, 1, vote=vote) == repeated_gini(config, 3, 1)
-        other_valid = dataclasses.replace(pipeline, valid=pipeline.train)
-        with pytest.raises(ValueError, match="another train set, valid set or K"):
-            repeated_gini(other_valid, 3, 1, vote=vote)
+        # one vote serves both arms, in any order, as a fresh vote per arm would
+        vote = pipeline.vote
+        baseline = pipeline._replace(tau=1.0, amount=0.3)
+        for arm in (pipeline, baseline, pipeline):
+            fresh = arm._replace(vote=CachedVote(vote.train, vote.query, vote.k))
+            assert repeated_gini(*arm, 3, 1) == repeated_gini(*fresh, 3, 1)
 
 
 def _lattice(rng, n, d, ids=None):
@@ -209,11 +224,11 @@ def _tied_batch(rng, train, valid, m):
     reflect = rng.integers(0, 2, m) == 1
     centres = valid.features[rng.integers(0, valid.n, m)]
     rows[reflect] = 2 * centres[reflect] - rows[reflect]
-    return SyntheticBatch(rows, rng.integers(0, 2, m), "smote", 0, train.ids)
+    return SyntheticBatch(rows, rng.integers(0, 2, m))
 
 
 class TestCachedVote:
-    """CachedVote against knn_predict_proba refitted on the augmented set."""
+    """CachedVote on a batch against knn_predict_proba refitted on train plus the batch."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, QUERY_CHUNK]))
@@ -226,7 +241,7 @@ class TestCachedVote:
         augmented = append_batch(train, batch)
         k = int(rng.integers(1, augmented.n + 1))
         with mock.patch.object(evaluation, "QUERY_CHUNK", chunk):
-            cached = CachedVote(train, valid, k, threads=2).predict_proba(augmented)
+            cached = CachedVote(train, valid, k, threads=2).predict_proba(batch)
             refit = knn_predict_proba(augmented, valid, k)
         assert cached.tobytes() == refit.tobytes()
 
@@ -239,26 +254,22 @@ class TestCachedVote:
         valid = _lattice(rng, 2 * QUERY_CHUNK + 5, 2)
         vote = CachedVote(train, valid, k, threads=2)
         for _ in range(3):
-            augmented = append_batch(train, _tied_batch(rng, train, valid, m))
+            batch = _tied_batch(rng, train, valid, m)
+            augmented = append_batch(train, batch)
             if k > augmented.n:
                 with pytest.raises(ValueError, match=f"K={k} out of range for {augmented.n}"):
-                    vote.predict_proba(augmented)
+                    vote.predict_proba(batch)
                 continue
             expected = knn_predict_proba(augmented, valid, k)
-            assert vote.predict_proba(augmented).tobytes() == expected.tobytes()
+            assert vote.predict_proba(batch).tobytes() == expected.tobytes()
 
-    def test_rejects_sets_that_do_not_extend_train(self):
+    def test_rejects_a_batch_of_another_dimension(self):
         rng = np.random.default_rng(0)
         train = _lattice(rng, 10, 2, np.arange(10, 20))
-        valid = _lattice(rng, 5, 2)
-        vote = CachedVote(train, valid, 3)
-        low_id = Dataset(np.concatenate([train.features, [[0.0, 1.0]]]),
-                         np.concatenate([train.labels, [1]]), train.feature_names,
-                         np.concatenate([train.ids, [5]]))
-        moved = train.take(np.arange(10)[::-1])
-        for bad in (train.take(np.arange(1, 10)), low_id, moved):
-            with pytest.raises(ValueError, match="training rows, then rows with larger ids"):
-                vote.predict_proba(bad)
+        vote = CachedVote(train, _lattice(rng, 5, 2), 3)
+        for d in (1, 3):
+            with pytest.raises(ValueError, match=f"dimension mismatch: {d} vs 2"):
+                vote.predict_proba(SyntheticBatch(rng.normal(size=(4, d)), [0, 1, 0, 1]))
 
 
 def _hard_rows(tau, n):
@@ -291,16 +302,16 @@ class TestMatchedBudgetArms:
     def test_arms_share_generator_seeds(self, pipeline, monkeypatch):
         seen = {}
 
-        def recording_augment(train, scores, tau, amount, gen):
+        def recording_batch(train, scores, tau, amount, gen):
             seen.setdefault(tau, []).append(gen.params["seed"])
-            return targeted_augment(train, scores, tau, amount, gen)
+            return targeted_batch(train, scores, tau, amount, gen)
 
-        monkeypatch.setattr(evaluation, "targeted_augment", recording_augment)
-        nontargeted = dataclasses.replace(
-            pipeline, tau=1.0, amount=_nontargeted_amount(pipeline.tau, pipeline.train.n)
+        monkeypatch.setattr(evaluation, "targeted_batch", recording_batch)
+        nontargeted = pipeline._replace(
+            tau=1.0, amount=_nontargeted_amount(pipeline.tau, pipeline.vote.train.n)
         )
-        repeated_gini(pipeline, replicates=4, base_seed=42)
-        repeated_gini(nontargeted, replicates=4, base_seed=42)
+        repeated_gini(*pipeline, replicates=4, base_seed=42)
+        repeated_gini(*nontargeted, replicates=4, base_seed=42)
         assert len(seen[pipeline.tau]) == 4
         assert seen[pipeline.tau] == seen[1.0]
 

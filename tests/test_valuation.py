@@ -276,7 +276,7 @@ class TestScoresCsv:
         assert np.array_equal(back.scores, scores.scores)
         assert np.array_equal(back.ids, scores.ids)
         assert back.method == "knn_shapley"
-        assert back.params["k"] == "5"
+        assert back.params == {"k": 5, "seed": 1}
 
     def test_rank_column_matches_ordering(self, tmp_path):
         scores = ValuationScores([0.3, -0.1, 0.3], [0, 1, 2], "tmc_shapley", {})
