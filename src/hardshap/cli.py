@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 flag/validation problems, 1 runtime failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -24,31 +25,48 @@ from . import evaluation, perturb, sim, valuation
 from ._util import hard_count, round_half_up
 from .dataset import Dataset, load_csv, save_csv, standardize
 
+T = TypeVar("T")
+
 
 class UsageError(Exception):
-    """Bad flags or preconditions; maps to exit code 2 before any heavy work."""
+    """A config file or cross-flag problem the parser cannot see; maps to exit code 2."""
 
 
-def _comma_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def _comma_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(",") if v != "")
 
 
-def _comma_names(text: str) -> list[str]:
-    return [v.strip() for v in text.split(",") if v.strip()]
+def _comma_names(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+def _checked(convert: Callable[[str], T], ok: Callable[[T], bool], bound: str,
+             name: str) -> Callable[[str], T]:
+    """argparse ``type=``: a value ``ok`` refuses exits 2 naming the flag and ``bound``."""
+
+    def parse(text: str) -> T:
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {text!r}")
+        return value
+
+    # argparse names the type in "invalid int value: 'abc'"
+    parse.__name__ = convert.__name__.strip("_").replace("_", " ")
+    return parse
 
 
 def _at_least(low: int, name: str) -> Callable[[str], int]:
-    """argparse ``type=`` for an integer flag; a value below ``low`` exits 2 naming the flag."""
     bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+    return _checked(int, lambda value: value >= low, bound, name)
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} must be {bound}, got {value}")
-        return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'abc'"
-    return parse
+def _non_negative(name: str) -> Callable[[str], float]:
+    return _checked(float, lambda value: 0.0 <= value < math.inf, "finite and non-negative", name)
+
+
+def _subset_of(names: tuple[str, ...], name: str) -> Callable[[str], tuple[str, ...]]:
+    return _checked(_comma_names, lambda got: bool(got) and set(got) <= set(names),
+                    "a non-empty subset of " + ",".join(names), name)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
@@ -57,6 +75,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
         description="KNN Shapley hardness scores and targeted synthetic augmentation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tau = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]", "tau")
+    amount = _checked(float, lambda value: 0.0 < value < math.inf, "positive and finite", "amount")
 
     def common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         p.add_argument("--config", help="key=value config file; flags override it")
@@ -74,7 +94,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--method", choices=valuation.METHODS, default="knn_shapley")
     p.add_argument("--permutations", type=_at_least(0, "permutations"), default=0,
                    help="tmc only; 0 means 100*n")
-    p.add_argument("--truncation-tol", type=float, default=1e-4, help="tmc early-stop tolerance")
+    p.add_argument("--truncation-tol", type=_non_negative("truncation-tol"), default=1e-4,
+                   help="tmc early-stop tolerance")
     p.add_argument("--no-standardize", action="store_true", help="skip train-fitted scaling")
     p.add_argument("--out", required=True)
     common(p)
@@ -88,9 +109,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--train", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--tau", type=float, required=True, help="hardest fraction in (0, 1]")
-    p.add_argument("--amount", type=float, required=True, help="synthetic rows per hard row")
-    p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS)
+    p.add_argument("--tau", type=tau, required=True, help="hardest fraction in (0, 1]")
+    p.add_argument("--amount", type=amount, required=True, help="synthetic rows per hard row")
+    p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS, required=True)
     p.add_argument("--k", type=_at_least(1, "K"), default=5,
                    help="SMOTE neighbor count (default 5)")
     p.add_argument("--exec-in", help="external generator: where to write the hard subset")
@@ -113,9 +134,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--k", type=_at_least(1, "K"), default=5, help="valuation neighborhood size")
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
                    default=evaluation.DOWNSTREAM_K)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--amount", type=float, required=True)
-    p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS)
+    p.add_argument("--tau", type=tau, required=True)
+    p.add_argument("--amount", type=amount, required=True)
+    p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS, required=True)
     p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=5, help="SMOTE neighbor count")
     p.add_argument("--exec-in")
     p.add_argument("--exec-out")
@@ -129,9 +150,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p = sub.add_parser("perturb-bench", help="AUPRC of characterizers vs planted hardness")
     p.add_argument("--train", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--kinds", default=",".join(perturb.KINDS))
-    p.add_argument("--proportions", default="0.05,0.1,0.15,0.2")
-    p.add_argument("--characterizers", default=",".join(perturb.CHARACTERIZERS))
+    p.add_argument("--kinds", type=_subset_of(perturb.KINDS, "kinds"),
+                   default=",".join(perturb.KINDS))
+    p.add_argument("--proportions", default="0.05,0.1,0.15,0.2", type=_checked(
+        _comma_floats, lambda ps: bool(ps) and all(0.0 < p < 1.0 for p in ps),
+        "a non-empty list in (0, 1)", "proportions"))
+    p.add_argument("--characterizers", type=_subset_of(perturb.CHARACTERIZERS, "characterizers"),
+                   default=",".join(perturb.CHARACTERIZERS))
     p.add_argument("--runs", type=_at_least(1, "runs"), default=3)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
@@ -145,7 +170,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--label", default="label")
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
-    p.add_argument("--thresholds", default="0.25,0.75,0.2", help="low_conf,high_conf,low_aleatoric")
+    p.add_argument("--thresholds", default="0.25,0.75,0.2", type=_checked(
+        _comma_floats, lambda t: len(t) == 3 and not any(map(math.isnan, t)) and t[0] < t[1],
+        "three numbers with low_conf < high_conf", "thresholds"),
+        help="low_conf,high_conf,low_aleatoric")
     p.add_argument("--probs-in", help="use externally produced checkpoint probabilities")
     p.add_argument("--probs-out", help="also write the checkpoint probability matrix")
     p.add_argument("--no-standardize", action="store_true")
@@ -157,8 +185,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--valid", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--label", default="label")
-    p.add_argument("--fractions", default="0,0.05,0.1,0.2")
-    p.add_argument("--strategies", default="hardest,random")
+    p.add_argument("--fractions", default="0,0.05,0.1,0.2", type=_checked(
+        _comma_floats, lambda fs: bool(fs) and all(0.0 <= f < 1.0 for f in fs)
+        and list(fs) == sorted(fs), "a non-empty ascending list in [0, 1)", "fractions"))
+    p.add_argument("--strategies", type=_subset_of(("hardest", "random"), "strategies"),
+                   default="hardest,random")
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
                    default=evaluation.DOWNSTREAM_K)
     p.add_argument("--no-standardize", action="store_true")
@@ -166,8 +197,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     common(p)
 
     p = sub.add_parser("sim-toy", help="analytic 1NN values for the 1-D mixture")
-    p.add_argument("--x-train", type=float, default=0.0)
-    p.add_argument("--grid", default="-8,8,0.001", help="lower,upper,step")
+    p.add_argument("--x-train", type=_checked(float, math.isfinite, "finite", "x-train"),
+                   default=0.0)
+    p.add_argument("--grid", default="-8,8,0.001", help="lower,upper,step", type=_checked(
+        _comma_floats, lambda g: len(g) == 3 and all(map(math.isfinite, g)) and g[2] > 0,
+        "three finite numbers with a positive step", "grid"))
     p.add_argument("--out", help="optional CSV for the interval table")
     common(p, seeded=False)
 
@@ -177,7 +211,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--n-train", type=_at_least(1, "n-train"), default=5000)
     p.add_argument("--n-valid", type=_at_least(1, "n-valid"), default=2500)
     p.add_argument("--n-test", type=_at_least(1, "n-test"), default=2500)
-    p.add_argument("--cov-scale", type=float, default=1.0)
+    p.add_argument("--cov-scale", type=_non_negative("cov-scale"), default=1.0)
     common(p)
 
     return parser, sub
@@ -245,11 +279,6 @@ def _header(argv: list[str], **extras: object) -> str:
     return " ".join(str(p) for p in parts)
 
 
-def _require_positive(value: int | float, name: str) -> None:
-    if value <= 0:
-        raise UsageError(f"{name} must be positive")
-
-
 def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
     """Load CSVs, all standardized by the first one's fit unless told not to."""
     first, *others = (load_csv(path, label) for path in paths)
@@ -259,8 +288,6 @@ def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
 
 
 def _generator_spec(args: argparse.Namespace, k_field: str = "k") -> augment_mod.GeneratorSpec:
-    if not args.generator:
-        raise UsageError("missing --generator (smote or external)")
     if args.generator == "smote":
         return augment_mod.GeneratorSpec(
             "smote", {"k_neighbors": getattr(args, k_field), "seed": args.seed}
@@ -308,9 +335,6 @@ def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
-    if not 0.0 < args.tau <= 1.0:
-        raise UsageError("tau must lie in (0, 1]")
-    _require_positive(args.amount, "amount")
     gen = _generator_spec(args)
     train = load_csv(args.train, args.label)
     scores = valuation.load_scores_csv(args.scores)
@@ -337,9 +361,6 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    if not 0.0 < args.tau <= 1.0:
-        raise UsageError("tau must lie in (0, 1]")
-    _require_positive(args.amount, "amount")
     if args.generator == "external":
         raise UsageError("eval-pipeline: replicates and arms would share one --exec-in/--exec-out "
                          "pair, so the CI is zero-width; use 'hardshap augment' for one batch")
@@ -366,20 +387,9 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_perturb_bench(args: argparse.Namespace, argv: list[str]) -> int:
-    kinds = _comma_names(args.kinds)
-    characterizers = _comma_names(args.characterizers)
-    proportions = _comma_floats(args.proportions)
-    unknown = set(kinds) - set(perturb.KINDS)
-    if unknown:
-        raise UsageError(f"unknown kinds: {sorted(unknown)}")
-    unknown = set(characterizers) - set(perturb.CHARACTERIZERS)
-    if unknown:
-        raise UsageError(f"unknown characterizers: {sorted(unknown)}")
-    if not proportions or any(not 0.0 < p < 1.0 for p in proportions):
-        raise UsageError("proportions must lie in (0, 1)")
     (train,) = _load(args.label, args.no_standardize, args.train)
     rows = perturb.benchmark(
-        train, kinds, proportions, characterizers,
+        train, args.kinds, args.proportions, args.characterizers,
         runs=args.runs, seed=args.seed, k=args.k,
         n_checkpoints=args.checkpoints, threads=args.threads,
     )
@@ -391,9 +401,6 @@ def _cmd_perturb_bench(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_dataiq(args: argparse.Namespace, argv: list[str]) -> int:
-    thresholds = tuple(_comma_floats(args.thresholds))
-    if len(thresholds) != 3:
-        raise UsageError("thresholds must be low_conf,high_conf,low_aleatoric")
     header = _header(argv, seed=args.seed)
     if args.probs_in:
         cp = dataiq_mod.load_probs_csv(args.probs_in)
@@ -406,38 +413,30 @@ def _cmd_dataiq(args: argparse.Namespace, argv: list[str]) -> int:
     if args.probs_out:
         dataiq_mod.save_probs_csv(cp, args.probs_out, header_comment=header)
     tags = dataiq_mod.tag(
-        dataiq_mod.confidence(cp), dataiq_mod.aleatoric(cp), thresholds, ids=cp.ids
+        dataiq_mod.confidence(cp), dataiq_mod.aleatoric(cp), args.thresholds, ids=cp.ids
     )
     dataiq_mod.save_tags_csv(tags, args.out, header_comment=header)
     return 0
 
 
 def _cmd_removal_curve(args: argparse.Namespace, argv: list[str]) -> int:
-    fractions = _comma_floats(args.fractions)
-    strategies = _comma_names(args.strategies)
-    unknown = set(strategies) - {"hardest", "random"}
-    if unknown:
-        raise UsageError(f"unknown strategies: {sorted(unknown)}")
     train, valid = _load(args.label, args.no_standardize, args.train, args.valid)
     scores = valuation.load_scores_csv(args.scores)
-    # each strategy's curve is computed as its rows are written
-    rows = (
+    # every curve is computed before --out is opened, so a failure writes no file
+    rows = [
         (strategy, fraction, g)
-        for strategy in strategies
+        for strategy in args.strategies
         for fraction, g in evaluation.removal_curve(
-            train, valid, scores, fractions, strategy, args.seed, args.downstream_k
+            train, valid, scores, args.fractions, strategy, args.seed, args.downstream_k
         )
-    )
+    ]
     _io.write_csv(args.out, ["strategy", "fraction", "gini"], rows,
                   [_header(argv, seed=args.seed)], newline="\n")
     return 0
 
 
 def _cmd_sim_toy(args: argparse.Namespace, argv: list[str]) -> int:
-    grid = tuple(_comma_floats(args.grid))
-    if len(grid) != 3:
-        raise UsageError("grid must be lower,upper,step")
-    expected = sim.toy_expected_shapley(args.x_train, grid)
+    expected = sim.toy_expected_shapley(args.x_train, args.grid)
     table = sim.toy_interval_table(args.x_train)
     print(f"x_train={args.x_train!r}")
     print(f"expected_shapley={expected!r}")
@@ -452,8 +451,6 @@ def _cmd_sim_toy(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_sim_blobs(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.cov_scale < 0:
-        raise UsageError("cov-scale must be nonnegative")
     cfg = sim.BlobConfig(
         cov_scale=args.cov_scale, n_train=args.n_train, n_valid=args.n_valid,
         n_test=args.n_test, seed=args.seed,
@@ -484,18 +481,14 @@ def main(argv: list[str] | None = None) -> int:
     parser, sub = _build_parser()
     try:
         args = parser.parse_args(_with_config(argv, sub))
-    except SystemExit as exc:
+        return _COMMANDS[args.command](args, argv)
+    except SystemExit as exc:  # the parser's exit: 2 after one error line, 0 after --help
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command](args, argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failures: bad files, invalid data, ...
-        print(f"error: {args.command}: {exc}", file=sys.stderr)
+        print(f"error: {argv[0]}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -37,7 +37,7 @@ from ._util import fixed_chunks, parallel_map, round_half_up
 from .augment import GeneratorSpec, SyntheticBatch, targeted_batch
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, smallest_k
-from .valuation import ValuationScores, rank_by_hardness
+from .valuation import ValuationScores, check_aligned, rank_by_hardness
 
 DOWNSTREAM_K = 15
 
@@ -63,7 +63,8 @@ def knn_predict_proba(
     train: Dataset, query: Dataset, k: int = DOWNSTREAM_K, threads: int = 1
 ) -> np.ndarray:
     """Fraction of the K nearest training rows (distance ties by id) with label 1."""
-    _check_vote(train, query, k)
+    check_same_dimension(train, query)
+    _check_k(k, train.n)
     X, y, _ = id_sorted_view(train)
 
     def run(block: tuple[int, int]) -> np.ndarray:
@@ -74,10 +75,9 @@ def knn_predict_proba(
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def _check_vote(train: Dataset, query: Dataset, k: int) -> None:
-    check_same_dimension(train, query)
-    if not 1 <= k <= train.n:
-        raise ValueError(f"K={k} out of range for {train.n} training rows")
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"K={k} out of range for {n} training rows")
 
 
 def _vote(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -121,8 +121,7 @@ class CachedVote:
         """Equals ``knn_predict_proba(append_batch(train, batch), query, k)``."""
         if batch.rows.shape[1] != self.query.d:
             raise ValueError(f"dimension mismatch: {batch.rows.shape[1]} vs {self.query.d}")
-        if self.k > self.train.n + batch.m:
-            raise ValueError(f"K={self.k} out of range for {self.train.n + batch.m} training rows")
+        _check_k(self.k, self.train.n + batch.m)
         out = np.empty(self.query.n)
         for lo, hi in fixed_chunks(self.query.n, QUERY_CHUNK):
             new_dist = cdist(self.query.features[lo:hi], batch.rows)
@@ -216,6 +215,8 @@ def removal_curve(
     fractions = list(fractions)
     if any(not 0.0 <= f < 1.0 for f in fractions) or sorted(fractions) != fractions:
         raise ValueError("fractions must be ascending and lie in [0, 1)")
+    check_aligned(scores, train)
+    check_same_dimension(train, valid)
     hardness_order = rank_by_hardness(scores)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     shuffled_ids = train.ids[rng.permutation(train.n)]
@@ -225,10 +226,9 @@ def removal_curve(
         drop = round_half_up(fraction * train.n)
         doomed = hardness_order[:drop] if strategy == "hardest" else shuffled_ids[:drop]
         keep_mask = ~np.isin(train.ids, doomed)
-        remaining = train.take(np.flatnonzero(keep_mask))
-        if len(np.unique(remaining.labels)) < 2:
+        if np.unique(train.labels[keep_mask]).size < 2:
             raise ValueError(f"removing {fraction:.0%} leaves a single-class training set")
-        _check_vote(remaining, valid, k)
+        _check_k(k, int(keep_mask.sum()))
         dropped.append(np.flatnonzero(~keep_mask[order]))
     if not dropped:
         return []

@@ -305,12 +305,17 @@ def rank_by_hardness(scores: ValuationScores) -> np.ndarray:
     return scores.ids[order]
 
 
+def check_aligned(scores: ValuationScores, ds: Dataset) -> None:
+    """Raise unless the scores cover exactly the dataset's ids."""
+    if scores.n != ds.n or not np.array_equal(np.sort(scores.ids), np.sort(ds.ids)):
+        raise ValueError("scores are not aligned with the dataset ids")
+
+
 def hardest_subset(ds: Dataset, scores: ValuationScores, tau: float) -> Dataset:
     """The ceil(tau*n) hardest rows of ds, in hardness order, ids preserved."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
-    if scores.n != ds.n or not np.array_equal(np.sort(scores.ids), np.sort(ds.ids)):
-        raise ValueError("scores are not aligned with the dataset ids")
+    check_aligned(scores, ds)
     m = hard_count(tau, ds.n)
     hard_ids = rank_by_hardness(scores)[:m]
     return ds.take(ds.positions_of(hard_ids))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardshap import augment, evaluation, neighbors, valuation
+from hardshap import augment, cli, evaluation, neighbors, valuation
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
 from hardshap.neighbors import QUERY_CHUNK
@@ -77,6 +77,21 @@ def test_missing_generator_fails_fast(tmp_path, blob_files, capsys):
     assert code == 2
     assert "--generator" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generator_from_config_satisfies_the_required_flag(tmp_path, blob_files):
+    scores_path = tmp_path / "scores.csv"
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--out", str(scores_path)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("generator=smote\n", encoding="utf-8")
+    by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+    common = ["augment", "--train", blob_files["train"], "--scores", str(scores_path),
+              "--tau", "0.1", "--amount", "1", "--k", "1"]
+    assert main([*common, "--generator", "smote", "--out", str(by_flag)]) == 0
+    assert main([*common, "--config", str(cfg), "--out", str(by_config)]) == 0
+    body = lambda path: path.read_bytes().split(b"\n", 1)[1]
+    assert body(by_flag) == body(by_config)
 
 
 def test_matched_budget_row_counts(tmp_path, blob_files):
@@ -161,6 +176,20 @@ def test_removal_curve_cli(tmp_path, blob_files):
     rows = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     assert rows[0] == "strategy,fraction,gini"
     assert len(rows) - 1 == 4
+
+
+def test_failed_removal_curve_writes_no_file(tmp_path, blob_files, capsys):
+    scores_path = tmp_path / "scores.csv"
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--k", "5", "--out", str(scores_path)]) == 0
+    out = tmp_path / "curve.csv"
+    # 5% of the 240 rows are 12, fewer than the 15 neighbours of the vote
+    assert main(["removal-curve", "--train", blob_files["train"],
+                 "--valid", blob_files["valid"], "--scores", str(scores_path),
+                 "--fractions", "0,0.95", "--strategies", "random,hardest",
+                 "--out", str(out)]) == 1
+    assert "K=15 out of range for 12 training rows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_pipeline_with_baseline(tmp_path, blob_files):
@@ -341,8 +370,9 @@ _REQUIRED = {
     "eval-pipeline": ["--train", "in.csv", "--valid", "in.csv", "--test", "in.csv",
                       "--tau", "0.5", "--amount", "1", "--generator", "smote", "--out"],
     "perturb-bench": ["--train", "in.csv", "--out"],
-    "dataiq": ["--train", "in.csv", "--out"],
+    "dataiq": ["--train", "in.csv", "--probs-out", "probs.csv", "--out"],
     "removal-curve": ["--train", "in.csv", "--valid", "in.csv", "--scores", "in.csv", "--out"],
+    "sim-toy": ["--out"],
     "sim-blobs": ["--out-prefix"],
 }
 
@@ -367,6 +397,33 @@ _REQUIRED = {
     ("sim-blobs", "--seed", "-4"),
     ("value", "--seed", "-4"),
     ("rank", "--threads", "0"),
+    ("augment", "--tau", "0"),
+    ("eval-pipeline", "--tau", "1.5"),
+    ("augment", "--amount", "nan"),
+    ("augment", "--amount", "inf"),
+    ("eval-pipeline", "--amount", "nan"),
+    ("eval-pipeline", "--amount", "inf"),
+    ("eval-pipeline", "--amount", "0"),
+    ("value", "--truncation-tol", "-1"),
+    ("value", "--truncation-tol", "nan"),
+    ("sim-blobs", "--cov-scale", "nan"),
+    ("sim-blobs", "--cov-scale", "-1"),
+    ("sim-toy", "--x-train", "nan"),
+    ("sim-toy", "--grid", "0,8,0"),
+    ("sim-toy", "--grid", "0,8"),
+    ("perturb-bench", "--proportions", "0.1,1"),
+    ("perturb-bench", "--proportions", ""),
+    ("perturb-bench", "--kinds", ""),
+    ("perturb-bench", "--kinds", "mislabeling,bogus"),
+    ("perturb-bench", "--characterizers", ""),
+    ("dataiq", "--thresholds", "0.8,0.2,0.1"),
+    ("dataiq", "--thresholds", "0.2,0.7,nan"),
+    ("dataiq", "--thresholds", "0.2,0.7"),
+    ("removal-curve", "--fractions", "0,0.5,0.2"),
+    ("removal-curve", "--fractions", "0,1"),
+    ("removal-curve", "--fractions", ""),
+    ("removal-curve", "--strategies", ""),
+    ("removal-curve", "--strategies", "easiest"),
 ])
 def test_numeric_flag_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                       command, flag, value):
@@ -375,7 +432,22 @@ def test_numeric_flag_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     errors = [l for l in err.splitlines() if "error" in l]
     assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
+    assert "must be" in errors[0], err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_flag_value_is_checked_by_the_parser():
+    # a bare int/float type or an unchecked comma list would leave a bad
+    # value to fail, or pass silently, inside a command
+    _, sub = cli._build_parser()
+    unchecked = [
+        f"{command} {action.option_strings[0]}"
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type in (int, float)
+        or (action.type is None and isinstance(action.default, str) and "," in action.default)
+    ]
+    assert unchecked == []
 
 
 @pytest.mark.parametrize("method, extra", [

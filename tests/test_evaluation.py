@@ -357,6 +357,13 @@ class TestRemovalCurve:
         with pytest.raises(ValueError, match="single-class"):
             removal_curve(train, valid, scores, [0.4], "hardest", 0, k=1)
 
+    @pytest.mark.parametrize("strategy", ["hardest", "random"])
+    def test_rejects_scores_of_other_ids(self, data, strategy):
+        train, valid, scores = data
+        shifted = ValuationScores(scores.scores, scores.ids + 1000, scores.method, scores.params)
+        with pytest.raises(ValueError, match="scores are not aligned with the dataset ids"):
+            removal_curve(train, valid, shifted, [0.0, 0.1], strategy, 0)
+
     def test_unknown_strategy(self, data):
         train, valid, scores = data
         with pytest.raises(ValueError, match="strategy"):
