@@ -166,7 +166,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     common(p)
 
     p = sub.add_parser("dataiq", help="confidence/aleatoric tags over checkpoints")
-    p.add_argument("--train", required=True)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--train", help="bag a KNN ensemble over these rows")
+    source.add_argument("--probs-in", help="use externally produced checkpoint probabilities")
     p.add_argument("--label", default="label")
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
@@ -174,7 +176,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
         _comma_floats, lambda t: len(t) == 3 and not any(map(math.isnan, t)) and t[0] < t[1],
         "three numbers with low_conf < high_conf", "thresholds"),
         help="low_conf,high_conf,low_aleatoric")
-    p.add_argument("--probs-in", help="use externally produced checkpoint probabilities")
     p.add_argument("--probs-out", help="also write the checkpoint probability matrix")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)

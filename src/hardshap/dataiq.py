@@ -21,6 +21,9 @@ from .neighbors import QUERY_CHUNK, smallest_k
 
 DEFAULT_THRESHOLDS = (0.25, 0.75, 0.2)
 TAGS = ("Easy", "Hard", "Ambiguous")
+# Bagged Data-IQ lists max(LIST_ROWS, 2K) nearest rows per point: enough to
+# hold K bag copies for nearly every row of untied data.
+LIST_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,8 @@ def tag(
     Everything else is Ambiguous.
     """
     low_conf, high_conf, low_aleo = thresholds
+    if np.isnan(thresholds).any():
+        raise ValueError(f"thresholds must not be NaN, got {thresholds}")
     if low_conf >= high_conf:
         raise ValueError("low confidence threshold must be below the high one")
     conf = np.asarray(conf, dtype=np.float64)
@@ -93,15 +98,10 @@ def tag(
         raise ValueError("confidence and aleatoric lengths differ")
     if ids is None:
         ids = np.arange(conf.shape[0], dtype=np.int64)
-    tags = []
-    for c, a in zip(conf, aleo):
-        if c >= high_conf and a <= low_aleo:
-            tags.append("Easy")
-        elif c <= low_conf and a <= low_aleo:
-            tags.append("Hard")
-        else:
-            tags.append("Ambiguous")
-    return DataIQTags(np.asarray(ids, dtype=np.int64), conf, aleo, tuple(tags), thresholds)
+    certain = aleo <= low_aleo
+    kind = np.select([certain & (conf >= high_conf), certain & (conf <= low_conf)], [0, 1], 2)
+    tags = tuple(np.array(TAGS)[kind].tolist())
+    return DataIQTags(np.asarray(ids, dtype=np.int64), conf, aleo, tags, thresholds)
 
 
 def bagged_checkpoint_probs(
@@ -111,9 +111,17 @@ def bagged_checkpoint_probs(
 
     Checkpoint e is a KNN vote over a seeded bootstrap resample of the
     training rows; a point's probability is the fraction of its K nearest
-    in-bag neighbors (its own copies excluded) that carry its true label.
-    Each block of QUERY_CHUNK rows masks only its own rows' copies, found by
-    sorting the bag positions by the row they copy.
+    in-bag neighbors (its own copies excluded) that carry its true label,
+    nearest by (distance, bag position).
+
+    Every bag copy is a training row, so one distance block serves all
+    checkpoints. Each block of QUERY_CHUNK rows lists, once, the nearest
+    other training rows of each row; a checkpoint then walks that list
+    taking each row's bag copies until it has K. The copies of one row
+    carry one label, so which of them are taken does not matter unless
+    another row lies at the distance of the row holding the K-th copy: then
+    the bag positions decide, and that row, like one whose list holds fewer
+    than K copies, is voted over its bag positions as a full sort would.
     """
     if n_checkpoints < 2:
         raise ValueError("need at least 2 checkpoints")
@@ -121,32 +129,54 @@ def bagged_checkpoint_probs(
         raise ValueError("K must be positive")
     train.require_both_classes("bagged_checkpoint_probs")
     n = train.n
-    children = np.random.SeedSequence(seed).spawn(n_checkpoints)
+    bags = [np.random.default_rng(child).integers(0, n, size=n)
+            for child in np.random.SeedSequence(seed).spawn(n_checkpoints)]
+    copies = np.array([np.bincount(bag, minlength=n) for bag in bags])
+    width = min(n - 1, max(LIST_ROWS, 2 * k))
 
-    def one_checkpoint(child: np.random.SeedSequence) -> np.ndarray:
-        rng = np.random.default_rng(child)
-        bag = rng.integers(0, n, size=n)
-        in_bag = train.features[bag]
-        copies = np.argsort(bag, kind="stable")
-        starts = np.searchsorted(bag[copies], np.arange(n + 1))
-        order = np.empty((n, k), dtype=np.intp)
-        smallest_pool = n
-        for lo, hi in fixed_chunks(n, QUERY_CHUNK):
-            dist = cdist(train.features[lo:hi], in_bag)
-            own = copies[starts[lo]:starts[hi]]
-            dist[bag[own] - lo, own] = np.inf
-            smallest_pool = min(smallest_pool, int(np.isfinite(dist).sum(axis=1).min()))
-            order[lo:hi] = smallest_k(dist, k)
-        if smallest_pool < k:
+    def one_block(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = bounds
+        rows = np.arange(hi - lo)
+        dist = cdist(train.features[lo:hi], train.features)
+        overflowed = not np.isfinite(dist.max())
+        dist[rows, rows + lo] = np.inf
+        # in-bag pool per checkpoint and row: the copies at a finite distance
+        if overflowed:
+            pools = copies @ np.isfinite(dist).T
+        else:
+            pools = n - copies[:, lo:hi]
+        ranked = smallest_k(dist, width + 1)
+        ranked_d = np.take_along_axis(dist, ranked, axis=1)
+        listed = ranked[:, :width]
+        # listed row j ties with row j + 1, the last with the first row past the list
+        tie_after = ranked_d[:, 1:] == ranked_d[:, :-1]
+        match = train.labels[listed] == train.labels[lo:hi, None]
+        probs = np.empty((hi - lo, n_checkpoints))
+        for e, bag in enumerate(bags):
+            mult = copies[e, listed]
+            before = np.cumsum(mult, axis=1) - mult
+            take = np.clip(k - before, 0, mult)
+            probs[:, e] = (take * match).sum(axis=1) / k
+            # the listed row holding the K-th copy, if the list holds K copies
+            kth = (before < k).sum(axis=1) - 1
+            short = before[:, -1] + mult[:, -1] < k
+            tied = tie_after[rows, kth] | ((kth > 0) & tie_after[rows, kth - 1])
+            # a row whose pool is short of K fails the call below; skip it here
+            exact = np.flatnonzero((short | tied) & (pools[e] >= k))
+            if exact.size:
+                nearest_labels = train.labels[bag[smallest_k(dist[exact[:, None], bag], k)]]
+                probs[exact, e] = (nearest_labels == train.labels[lo + exact, None]).mean(axis=1)
+        return probs, pools.min(axis=1)
+
+    blocks = parallel_map(one_block, list(fixed_chunks(n, QUERY_CHUNK)), threads)
+    smallest_pool = np.min([pool for _, pool in blocks], axis=0)
+    for pool in smallest_pool:
+        if pool < k:
             raise ValueError(
                 f"K={k} exceeds the in-bag neighbor pool after self-exclusion "
-                f"(smallest pool {smallest_pool})"
+                f"(smallest pool {pool})"
             )
-        neighbor_labels = train.labels[bag[order]]
-        return (neighbor_labels == train.labels[:, None]).mean(axis=1)
-
-    columns = parallel_map(one_checkpoint, children, threads)
-    return CheckpointProbs(np.column_stack(columns), train.ids)
+    return CheckpointProbs(np.concatenate([probs for probs, _ in blocks]), train.ids)
 
 
 def save_probs_csv(cp: CheckpointProbs, path: str | Path, header_comment: str | None = None) -> None:

@@ -39,7 +39,7 @@ class BlobConfig:
             raise ValueError("expected two components per label")
         if min(self.n_train, self.n_valid, self.n_test) < 1:
             raise ValueError("split sizes must be positive")
-        if self.cov_scale < 0:
+        if not self.cov_scale >= 0:
             raise ValueError("covariance scale must be nonnegative")
 
 

@@ -272,7 +272,7 @@ def tmc_shapley(
         permutations = 100 * train.n
     if permutations < 1:
         raise ValueError("permutations must be positive")
-    if truncation_tol < 0:
+    if not truncation_tol >= 0:
         raise ValueError("truncation_tol must be nonnegative")
     ev = _UtilityEvaluator(train, test, k)
     n = train.n

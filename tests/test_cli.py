@@ -512,10 +512,25 @@ def test_dataiq_accepts_external_probability_matrix(tmp_path):
         "id,p_1,p_2\n0,0.9,0.95\n1,0.1,0.2\n2,0.5,0.6\n", encoding="utf-8"
     )
     tags = tmp_path / "tags.csv"
-    assert main(["dataiq", "--train", "unused.csv", "--probs-in", str(probs),
-                 "--out", str(tags)]) == 0
+    assert main(["dataiq", "--probs-in", str(probs), "--out", str(tags)]) == 0
     rows = [l for l in tags.read_text().splitlines() if not l.startswith("#")][1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["Easy", "Hard", "Ambiguous"]
+
+
+@pytest.mark.parametrize("sources, message", [
+    (["--train", "train.csv", "--probs-in", "probs.csv"],
+     "argument --probs-in: not allowed with argument --train"),
+    ([], "one of the arguments --train --probs-in is required"),
+])
+def test_dataiq_takes_exactly_one_probability_source(tmp_path, capsys, sources, message):
+    (tmp_path / "train.csv").write_text("id,x,label\n0,0.0,0\n1,1.0,1\n", encoding="utf-8")
+    (tmp_path / "probs.csv").write_text("id,p_1,p_2\n0,0.9,0.95\n1,0.1,0.2\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    argv = ["dataiq", *(str(tmp_path / a) if a.endswith(".csv") else a for a in sources),
+            "--probs-out", str(tmp_path / "out_probs.csv"), "--out", str(tmp_path / "tags.csv")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_augment_external_generator_handshake(tmp_path, blob_files):

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from hardshap import dataiq
 from hardshap.dataiq import (
     CheckpointProbs,
     aleatoric,
@@ -14,7 +16,7 @@ from hardshap.dataiq import (
     tag,
 )
 from hardshap.dataset import Dataset
-from hardshap.neighbors import QUERY_CHUNK
+from hardshap.neighbors import QUERY_CHUNK, smallest_k
 
 
 def probs(rows):
@@ -65,6 +67,28 @@ class TestTag:
     def test_threshold_ordering_enforced(self):
         with pytest.raises(ValueError, match="below"):
             tag(np.array([0.5]), np.array([0.1]), thresholds=(0.8, 0.2, 0.2))
+
+    @pytest.mark.parametrize("thresholds", [(np.nan, 0.7, 0.2), (0.2, np.nan, 0.2),
+                                            (0.2, 0.7, np.nan)])
+    def test_nan_threshold_rejected(self, thresholds):
+        # a NaN aleatoric threshold used to tag every row Ambiguous
+        with pytest.raises(ValueError, match="NaN"):
+            tag(np.array([0.9, 0.1]), np.array([0.05, 0.05]), thresholds=thresholds)
+
+    def test_boundaries_are_inclusive(self):
+        # confidence exactly at low or high and aleatoric exactly at its
+        # threshold still count as Hard or Easy; one step past is Ambiguous
+        low, high, low_aleo = 0.25, 0.75, 0.2
+        conf = np.array([high, low, high, low, np.nextafter(high, 0), np.nextafter(low, 1)])
+        aleo = np.array([low_aleo, low_aleo, np.nextafter(low_aleo, 1),
+                         np.nextafter(low_aleo, 1), 0.0, 0.0])
+        got = tag(conf, aleo, thresholds=(low, high, low_aleo), ids=np.arange(10, 16))
+        assert got.tag == ("Easy", "Hard", "Ambiguous", "Ambiguous", "Ambiguous", "Ambiguous")
+        assert all(type(t) is str for t in got.tag)
+        assert got.ids.tolist() == list(range(10, 16))
+
+    def test_empty_input(self):
+        assert tag(np.array([]), np.array([])).tag == ()
 
     @settings(max_examples=80)
     @given(st.floats(0.0, 1.0), st.floats(0.0, 0.25))
@@ -125,32 +149,111 @@ class TestBaggedCheckpoints:
         with pytest.raises(ValueError, match="pool"):
             bagged_checkpoint_probs(ds, n_checkpoints=2, k=6, seed=0)
 
-    def test_blocked_distances_match_full_matrix(self):
-        # three distance blocks, on a lattice so distances tie, with K up to
-        # the in-bag pool limit: n less the most copies of one row in a bag
-        rng = np.random.default_rng(4)
+    def test_k_above_the_row_count_reports_the_pool(self):
+        with pytest.raises(ValueError, match=r"K=7 exceeds .* \(smallest pool \d\)"):
+            bagged_checkpoint_probs(two_blobs(3), n_checkpoints=2, k=7, seed=0)
+
+    def test_blocked_distances_match_full_matrix(self, monkeypatch):
+        # three distance blocks, with K on both sides of the 32-row neighbour
+        # list and up to the in-bag pool limit: n less the most copies of one
+        # row in a bag. Blobs never tie, so every row takes the list; the
+        # lattice ties everywhere, so every row takes its bag positions; the
+        # rounded rows mix both within a block.
         n = 2 * QUERY_CHUNK + 88
-        ds = Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), np.arange(n) % 2,
-                     ("x1", "x2"), np.arange(n))
-        bags = [np.random.default_rng(child).integers(0, n, size=n)
-                for child in np.random.SeedSequence(7).spawn(3)]
+        bags = bags_of(n, seed=7, n_checkpoints=3)
         pool = min(n - int(np.bincount(bag).max()) for bag in bags)
-        for k in (5, pool):
-            got = bagged_checkpoint_probs(ds, n_checkpoints=3, k=k, seed=7).probs
-            for e, bag in enumerate(bags):
-                dist = np.linalg.norm(ds.features[:, None, :] - ds.features[bag][None], axis=2)
-                dist[np.arange(n)[:, None] == bag[None, :]] = np.inf
-                nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-                expected = (ds.labels[bag[nearest]] == ds.labels[:, None]).mean(axis=1)
-                assert np.array_equal(got[:, e], expected)
-        with pytest.raises(ValueError, match=rf"smallest pool {pool}\)"):
-            bagged_checkpoint_probs(ds, n_checkpoints=3, k=pool + 1, seed=7)
+        ranked = count_ranked_rows(monkeypatch)
+        for rows, make in ROWS.items():
+            ds = make(n)
+            for k in (1, 5, 31, 32, 33, pool):
+                ranked.clear()
+                got = bagged_checkpoint_probs(ds, n_checkpoints=3, k=k, seed=7).probs
+                assert np.array_equal(got, full_sort_probs(ds, bags, k)), (rows, k)
+                # one list per block, then the rows voted over their bag positions
+                exact_rows = sum(ranked) - n
+                if rows == "blobs":
+                    assert exact_rows == 0
+                elif rows == "lattice":
+                    assert exact_rows == 3 * n
+                else:
+                    assert 0 < exact_rows < 3 * n
+            with pytest.raises(ValueError, match=rf"smallest pool {pool}\)"):
+                bagged_checkpoint_probs(ds, n_checkpoints=3, k=pool + 1, seed=7)
+
+    def test_overflowed_distances_shrink_the_pool(self):
+        # rows near 1e200 lie at an infinite distance from every other point,
+        # so only their duplicates are in their pool
+        rng = np.random.default_rng(8)
+        near = rng.normal(size=(300, 2))
+        far = 1e200 * np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])[np.arange(300) % 3]
+        ds = Dataset(np.concatenate([near, far]), np.arange(600) % 2, ("x1", "x2"),
+                     np.arange(600))
+        bags = bags_of(ds.n, seed=3, n_checkpoints=2)
+        pools = []
+        for bag in bags:
+            dist = cdist(ds.features, ds.features[bag])
+            dist[np.arange(ds.n)[:, None] == bag[None, :]] = np.inf
+            pools.append(int(np.isfinite(dist).sum(axis=1).min()))
+        assert max(pools) < ds.n - max(np.bincount(bag).max() for bag in bags)
+        got = bagged_checkpoint_probs(ds, n_checkpoints=2, k=5, seed=3).probs
+        assert np.array_equal(got, full_sort_probs(ds, bags, 5))
+        with pytest.raises(ValueError, match=rf"smallest pool {min(pools)}\)"):
+            bagged_checkpoint_probs(ds, n_checkpoints=2, k=min(pools) + 1, seed=3)
 
     def test_thread_count_invariance(self):
-        ds = two_blobs(25)
-        a = bagged_checkpoint_probs(ds, n_checkpoints=4, k=3, seed=5, threads=1)
-        b = bagged_checkpoint_probs(ds, n_checkpoints=4, k=3, seed=5, threads=4)
-        assert np.array_equal(a.probs, b.probs)
+        # three blocks, so two and three threads split them differently
+        for rows in ("blobs", "rounded"):
+            ds = ROWS[rows](2 * QUERY_CHUNK + 88)
+            one = bagged_checkpoint_probs(ds, n_checkpoints=4, k=5, seed=5, threads=1).probs
+            for threads in (2, 3):
+                got = bagged_checkpoint_probs(ds, n_checkpoints=4, k=5, seed=5, threads=threads)
+                assert np.array_equal(got.probs, one)
+
+
+def lattice_rows(n):
+    rng = np.random.default_rng(4)
+    return Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), np.arange(n) % 2,
+                   ("x1", "x2"), np.arange(n))
+
+
+def rounded_rows(n):
+    features = np.round(np.random.default_rng(5).normal(size=(n, 2)), 1)
+    labels = (features.sum(axis=1) > 0) ^ (np.arange(n) % 7 == 0)
+    return Dataset(features, labels.astype(int), ("x1", "x2"), np.arange(n))
+
+
+ROWS = {"blobs": lambda n: two_blobs(n // 2, spread=1.5), "rounded": rounded_rows,
+        "lattice": lattice_rows}
+
+
+def bags_of(n, seed, n_checkpoints):
+    """The bootstrap positions bagged_checkpoint_probs draws, one array per checkpoint."""
+    return [np.random.default_rng(child).integers(0, n, size=n)
+            for child in np.random.SeedSequence(seed).spawn(n_checkpoints)]
+
+
+def full_sort_probs(ds, bags, k):
+    """Per checkpoint: the full distance matrix to the bag, own copies masked, stably sorted."""
+    columns = []
+    for bag in bags:
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(ds.features[:, None, :] - ds.features[bag][None], axis=2)
+        dist[np.arange(ds.n)[:, None] == bag[None, :]] = np.inf
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        columns.append((ds.labels[bag[nearest]] == ds.labels[:, None]).mean(axis=1))
+    return np.column_stack(columns)
+
+
+def count_ranked_rows(monkeypatch):
+    """Record the number of rows each smallest_k call inside dataiq ranks."""
+    ranked = []
+
+    def counting(dist, k):
+        ranked.append(dist.shape[0])
+        return smallest_k(dist, k)
+
+    monkeypatch.setattr(dataiq, "smallest_k", counting)
+    return ranked
 
 
 class TestCsv:

@@ -3,9 +3,11 @@
 One small fixed object goes through each of the eleven writers: the seven
 library ``save_*`` functions and the four CLI subcommands that write their
 own files. One ``perturb-bench`` run over all three characterizers on a
-tie-heavy lattice also pins the AUPRCs themselves, Data-IQ's included. The fixtures pin cell text (shortest-repr floats, ``-0.0``,
-subnormals, exponents), header quoting, comment lines and line endings
-(``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
+tie-heavy lattice also pins the AUPRCs themselves, Data-IQ's included, and
+one ``dataiq`` run on the same lattice pins its raw bagged probabilities,
+which an AUPRC could hide. The fixtures pin cell text (shortest-repr floats,
+``-0.0``, subnormals, exponents), header quoting, comment lines and line
+endings (``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
 
 Regenerate the fixtures with::
 
@@ -43,6 +45,7 @@ FILES = (
     "toy.csv",
     "pbench.csv",
     "pbench.csv.mean.csv",
+    "probs_bagged.csv",
 )
 
 
@@ -104,6 +107,8 @@ def write_all(out: Path) -> None:
             ["perturb-bench", "--train", "lattice.csv", "--proportions", "0.1,0.2",
              "--characterizers", "knn_shapley,dataiq,random", "--runs", "2",
              "--checkpoints", "3", "--seed", "5", "--threads", "2", "--out", "pbench.csv"],
+            ["dataiq", "--train", "lattice.csv", "--checkpoints", "4", "--k", "5", "--seed", "5",
+             "--probs-out", "probs_bagged.csv", "--out", "tags_bagged.csv"],
         )
         for argv in calls:
             if main(argv) != 0:

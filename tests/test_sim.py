@@ -137,6 +137,11 @@ class TestBlobs:
         with pytest.raises(ValueError, match="two components"):
             BlobConfig(component_labels=(0, 1, 1, 1))
 
+    @pytest.mark.parametrize("scale", [-1.0, np.nan])
+    def test_rejects_a_negative_or_nan_covariance_scale(self, scale):
+        with pytest.raises(ValueError, match="covariance scale must be nonnegative"):
+            BlobConfig(cov_scale=scale)
+
     def test_hardest_points_hug_the_boundary(self):
         train, _, test = gen_blobs(BlobConfig(seed=0))
         scores = knn_shapley(train, test, 5)

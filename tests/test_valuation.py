@@ -195,6 +195,15 @@ class TestTmcShapley:
         b = tmc_shapley(train, test, 1, permutations=200, seed=5).scores
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("tol", [-1e-9, np.nan])
+    def test_rejects_a_negative_or_nan_tolerance(self, tol):
+        # a NaN tolerance would compare false at every step and never truncate
+        rng = np.random.default_rng(59)
+        train = random_dataset(rng, 4, d=1)
+        test = random_dataset(rng, 1, d=1)
+        with pytest.raises(ValueError, match="truncation_tol must be nonnegative"):
+            tmc_shapley(train, test, 1, permutations=10, truncation_tol=tol)
+
     def test_default_permutation_count(self):
         rng = np.random.default_rng(53)
         train = random_dataset(rng, 4, d=1)
