@@ -1,4 +1,4 @@
-"""Small shared helpers: fixed-order threading and count rounding.
+"""Small shared helpers: fixed-order threading, count rounding and frozen arrays.
 
 Work is split into chunks whose boundaries do not depend on the thread
 count, and results come back in submission order, so any reduction over
@@ -12,8 +12,18 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+def freeze_field(obj: object, name: str, dtype: type) -> np.ndarray:
+    """Set field ``name`` of a frozen dataclass to a read-only ``dtype`` copy and return it."""
+    arr = np.array(getattr(obj, name), dtype=dtype)
+    arr.setflags(write=False)
+    object.__setattr__(obj, name, arr)
+    return arr
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:

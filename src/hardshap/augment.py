@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import largest_remainder, round_half_up
+from ._util import freeze_field, largest_remainder, round_half_up
 from .dataset import Dataset, load_csv, save_csv
 from .neighbors import k_nearest
 from .valuation import ValuationScores, hardest_subset
@@ -55,18 +55,14 @@ class SyntheticBatch:
     labels: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.rows, dtype=np.float64)
-        labels = np.array(self.labels, dtype=np.int64)
-        for arr in (rows, labels):
-            arr.setflags(write=False)
+        rows = freeze_field(self, "rows", np.float64)
+        labels = freeze_field(self, "labels", np.int64)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ValueError("batch must contain at least one row")
         if labels.shape != (rows.shape[0],):
             raise ValueError("labels length must match rows")
         if not np.all(np.isfinite(rows)):
             raise ValueError("synthetic rows contain NaN or infinite entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
 
     @property
     def m(self) -> int:

@@ -5,7 +5,8 @@ byte-identical outputs, and a ``--threads`` flag caps parallelism without
 changing results. Output files start with a comment line recording the
 full invocation so results stay attributable to their seeds.
 
-Exit codes: 0 success, 2 flag/validation problems, 1 runtime failures.
+Exit codes: 0 success, 1 runtime failures, 2 usage errors. Flags must be
+spelled in full, and every usage error prints the parser's usage line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -26,10 +28,6 @@ from ._util import hard_count, round_half_up
 from .dataset import Dataset, load_csv, save_csv, standardize
 
 T = TypeVar("T")
-
-
-class UsageError(Exception):
-    """A config file or cross-flag problem the parser cannot see; maps to exit code 2."""
 
 
 def _comma_floats(text: str) -> tuple[float, ...]:
@@ -70,11 +68,13 @@ def _subset_of(names: tuple[str, ...], name: str) -> Callable[[str], tuple[str, 
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
-    parser = argparse.ArgumentParser(
+    # the token walks in _given only know full flag names
+    exact = partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = exact(
         prog="hardshap",
         description="KNN Shapley hardness scores and targeted synthetic augmentation",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     tau = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]", "tau")
     amount = _checked(float, lambda value: 0.0 < value < math.inf, "positive and finite", "amount")
 
@@ -136,10 +136,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                    default=evaluation.DOWNSTREAM_K)
     p.add_argument("--tau", type=tau, required=True)
     p.add_argument("--amount", type=amount, required=True)
-    p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS, required=True)
+    # one --exec-in/--exec-out pair shared by every replicate would give a zero-width CI
+    p.add_argument("--generator", choices=("smote",), required=True)
     p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=5, help="SMOTE neighbor count")
-    p.add_argument("--exec-in")
-    p.add_argument("--exec-out")
     p.add_argument("--replicates", type=_at_least(2, "replicates"), default=30)
     p.add_argument("--with-baseline", action="store_true", help="also run the tau=1 arm")
     p.add_argument("--no-standardize", action="store_true")
@@ -218,26 +217,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     return parser, sub
 
 
+def _given(argv: list[str], flag: str) -> list[int]:
+    """Indices of the tokens giving ``flag``, as ``flag VALUE`` or ``flag=VALUE``.
+
+    With abbreviations off these are the only spellings the parser accepts.
+    """
+    return [i for i, token in enumerate(argv) if token == flag or token.startswith(flag + "=")]
+
+
 def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
     """argv with one flag token per line of its ``--config`` file after the subcommand.
 
     A ``key=value`` line becomes ``--key=value``, and a truthy value of a
     store-true key a bare ``--key``, so the parser checks config values
     exactly as it checks flags. The command line's own flags come later and
-    so win. An unknown key is rejected here, before parsing.
+    so win. A file that is missing or has a bad line or an unknown key is
+    the subcommand parser's error.
     """
     if not argv or argv[0] not in sub.choices:
         return argv  # let the parser report the bad subcommand itself
     command_parser = sub.choices[argv[0]]
-    finder = argparse.ArgumentParser(prog=command_parser.prog, usage=argparse.SUPPRESS,
-                                     add_help=False, allow_abbrev=False)
-    finder.add_argument("--config")
-    config_path = finder.parse_known_args(argv[1:])[0].config
-    if config_path is None:
-        return argv
-    path = Path(config_path)
+    given = _given(argv, "--config")
+    if not given or argv[-1] == "--config":
+        return argv  # no file, or a missing value the parser reports
+    i = given[-1]
+    path = Path(argv[i + 1] if argv[i] == "--config" else argv[i].partition("=")[2])
     if not path.is_file():
-        raise UsageError(f"config file not found: {path}")
+        command_parser.error(f"config file not found: {path}")
     options = command_parser._option_string_actions
     tokens = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -245,12 +251,12 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
+            command_parser.error(f"{path}:{lineno}: expected key=value")
         key, _, value = (part.strip() for part in line.partition("="))
         flag = "--" + key.replace("_", "-")
         action = options.get(flag)
         if action is None:
-            raise UsageError(f"unknown config key {key!r} for {argv[0]}")
+            command_parser.error(f"unknown config key {key!r} for {argv[0]}")
         if action.nargs != 0:
             tokens.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes"):
@@ -258,22 +264,27 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
     return [argv[0], *tokens, *argv[1:]]
 
 
+def _check_flag_rules(args: argparse.Namespace, argv: list[str],
+                      parser: argparse.ArgumentParser) -> None:
+    """The rules that join two flags; ``argv`` includes the ``--config`` lines."""
+    if args.command == "augment" and args.generator == "external":
+        if not (args.exec_in and args.exec_out):
+            parser.error("argument --generator: external needs --exec-in and --exec-out")
+    if args.command == "dataiq" and args.probs_in:
+        # there is nothing to bag, so the --train-mode flags would be ignored
+        bagging = ("--k", "--checkpoints", "--label", "--no-standardize")
+        if refused := [flag for flag in bagging if _given(argv, flag)]:
+            parser.error(f"argument --probs-in: not allowed with {', '.join(refused)}, "
+                         "which only configure --train")
+
+
 def _header(argv: list[str], **extras: object) -> str:
     # --threads never changes results, so logging it would break the
     # byte-identity of outputs across thread counts
-    logged = []
-    skip_next = False
-    for token in argv:
-        if skip_next:
-            skip_next = False
-            continue
-        if token == "--threads":
-            skip_next = True
-            continue
-        if token.startswith("--threads="):
-            continue
-        logged.append(token)
-    parts = ["hardshap", *logged]
+    dropped = set()
+    for i in _given(argv, "--threads"):
+        dropped.update((i, i + 1) if argv[i] == "--threads" else (i,))
+    parts = ["hardshap", *(token for i, token in enumerate(argv) if i not in dropped)]
     if extras:
         parts.append("|")
         parts.extend(f"{k}={v}" for k, v in sorted(extras.items()))
@@ -288,13 +299,9 @@ def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
     return [first, *others]
 
 
-def _generator_spec(args: argparse.Namespace, k_field: str = "k") -> augment_mod.GeneratorSpec:
+def _generator_spec(args: argparse.Namespace, k: int) -> augment_mod.GeneratorSpec:
     if args.generator == "smote":
-        return augment_mod.GeneratorSpec(
-            "smote", {"k_neighbors": getattr(args, k_field), "seed": args.seed}
-        )
-    if not args.exec_in or not args.exec_out:
-        raise UsageError("external generator needs --exec-in and --exec-out")
+        return augment_mod.GeneratorSpec("smote", {"k_neighbors": k, "seed": args.seed})
     return augment_mod.GeneratorSpec(
         "external", {"exec_in": args.exec_in, "exec_out": args.exec_out, "seed": args.seed}
     )
@@ -336,7 +343,7 @@ def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
-    gen = _generator_spec(args)
+    gen = _generator_spec(args, args.k)
     train = load_csv(args.train, args.label)
     scores = valuation.load_scores_csv(args.scores)
     augmented = augment_mod.targeted_augment(train, scores, args.tau, args.amount, gen)
@@ -362,10 +369,7 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.generator == "external":
-        raise UsageError("eval-pipeline: replicates and arms would share one --exec-in/--exec-out "
-                         "pair, so the CI is zero-width; use 'hardshap augment' for one batch")
-    gen = _generator_spec(args, k_field="gen_k")
+    gen = _generator_spec(args, args.gen_k)
     train, valid, test = _load(args.label, args.no_standardize, args.train, args.valid, args.test)
     scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
     arms = [("targeted", args.tau, args.amount, args.out)]
@@ -481,13 +485,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = _build_parser()
     try:
-        args = parser.parse_args(_with_config(argv, sub))
+        expanded = _with_config(argv, sub)
+        args = parser.parse_args(expanded)
+        _check_flag_rules(args, expanded, sub.choices[args.command])
         return _COMMANDS[args.command](args, argv)
     except SystemExit as exc:  # the parser's exit: 2 after one error line, 0 after --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # runtime failures: bad files, invalid data, ...
         print(f"error: {argv[0]}: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _io
-from ._util import fixed_chunks, parallel_map
+from ._util import fixed_chunks, freeze_field, parallel_map
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, smallest_k
 
@@ -34,10 +34,8 @@ class CheckpointProbs:
     ids: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
-        ids = np.array(self.ids, dtype=np.int64)
-        probs.setflags(write=False)
-        ids.setflags(write=False)
+        probs = freeze_field(self, "probs", np.float64)
+        ids = freeze_field(self, "ids", np.int64)
         if probs.ndim != 2:
             raise ValueError("probs must be an n-by-E matrix")
         if probs.shape[1] < 2:
@@ -46,8 +44,6 @@ class CheckpointProbs:
             raise ValueError("ids length does not match probability rows")
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n_checkpoints(self) -> int:

@@ -15,15 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _io
-from ._util import largest_remainder
+from ._util import freeze_field, largest_remainder
 
 ID_COLUMN = "id"
-
-
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -36,9 +30,9 @@ class Dataset:
     ids: np.ndarray
 
     def __post_init__(self):
-        features = _frozen_array(self.features, dtype=np.float64)
-        labels = _frozen_array(self.labels, dtype=np.int64)
-        ids = _frozen_array(self.ids, dtype=np.int64)
+        features = freeze_field(self, "features", np.float64)
+        labels = freeze_field(self, "labels", np.int64)
+        ids = freeze_field(self, "ids", np.int64)
         names = tuple(str(c) for c in self.feature_names)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -57,10 +51,7 @@ class Dataset:
             raise ValueError("ids length does not match feature rows")
         if len(np.unique(ids)) != n:
             raise ValueError("ids must be unique")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n(self) -> int:

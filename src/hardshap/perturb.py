@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _io
-from ._util import parallel_map, round_half_up
+from ._util import freeze_field, parallel_map, round_half_up
 from .dataiq import bagged_checkpoint_probs, confidence
 from .dataset import Dataset, SplitSpec, stratified_split
 from .valuation import knn_shapley
@@ -35,14 +35,12 @@ class PerturbationRecord:
     seed: int
 
     def __post_init__(self):
-        flags = np.array(self.flags, dtype=bool)
-        flags.setflags(write=False)
+        flags = freeze_field(self, "flags", bool)
         if self.kind not in KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         expected = round_half_up(self.proportion * flags.shape[0])
         if int(flags.sum()) != expected:
             raise ValueError("flag count does not match round(proportion * n)")
-        object.__setattr__(self, "flags", flags)
 
 
 def _pick_rows(n: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import _io
-from ._util import fixed_chunks, hard_count, parallel_map
+from ._util import fixed_chunks, freeze_field, hard_count, parallel_map
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, rank_all, stable_order
 
@@ -42,12 +42,12 @@ class ValuationScores:
     params: Mapping[str, object]
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=np.float64)
-        ids = np.array(self.ids, dtype=np.int64)
-        scores.setflags(write=False)
-        ids.setflags(write=False)
+        scores = freeze_field(self, "scores", np.float64)
+        ids = freeze_field(self, "ids", np.int64)
         if scores.ndim != 1 or scores.shape != ids.shape:
             raise ValueError("scores and ids must be 1-D and of equal length")
+        if len(np.unique(ids)) != ids.shape[0]:
+            raise ValueError("ids must be unique")
         if not np.all(np.isfinite(scores)):
             raise ValueError("scores must be finite")
         if self.method not in METHODS:
@@ -56,8 +56,6 @@ class ValuationScores:
             scores.min() < -1.0 - 1e-12 or scores.max() > 1.0 + 1e-12
         ):
             raise ValueError("knn_shapley scores must lie in [-1, 1]")
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "params", dict(self.params))
 
     @property

@@ -285,8 +285,7 @@ def test_eval_pipeline_rejects_the_external_generator(tmp_path, capsys, blob_fil
                  "--exec-out", str(exec_out), "--with-baseline", "--threads", "2",
                  "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "CI is zero-width" in err and "use 'hardshap augment' for one batch" in err
+    assert "invalid choice: 'external'" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.csv"]
 
 
@@ -318,6 +317,39 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text("frobnicate=1\n", encoding="utf-8")
     assert main(["rank", "--scores", "x.csv", "--out", "y.csv", "--config", str(cfg)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--thr", "2"], "unrecognized arguments: --thr 2"),
+    (["--thr=2"], "unrecognized arguments: --thr=2"),
+    (["--conf", "run.cfg"], "unrecognized arguments: --conf run.cfg"),
+    (["--config"], "argument --config: expected one argument"),
+])
+def test_flags_must_be_spelled_in_full(tmp_path, monkeypatch, capsys, blob_files, flags, message):
+    # a prefix passed the parser but not the exact-name walks: --thr was
+    # logged in the output header and --conf never read its file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("k=7\n", encoding="utf-8")
+    argv = ["value", "--train", blob_files["train"], "--test", blob_files["test"],
+            "--out", "scores.csv", *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap")
+    errors = [l for l in err.splitlines() if "error" in l]
+    assert len(errors) == 1 and errors[0].endswith(message), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_thread_count_spellings_write_the_same_bytes(tmp_path, monkeypatch, blob_files):
+    # the header logs the argv, so both runs write the same relative --out
+    common = ["value", "--train", blob_files["train"], "--test", blob_files["test"],
+              "--out", "scores.csv"]
+    for name, threads in (("one", ["--threads", "1"]), ("eight", ["--threads=8"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main([*common, *threads]) == 0
+    for name in ("scores.csv", "scores.csv.meta"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "eight" / name).read_bytes()
 
 
 @pytest.mark.parametrize("command, line, bad", [
@@ -450,6 +482,49 @@ def test_every_flag_value_is_checked_by_the_parser():
     assert unchecked == []
 
 
+def test_every_parser_takes_only_full_flag_names():
+    parser, sub = cli._build_parser()
+    assert [name for name, p in {"hardshap": parser, **sub.choices}.items() if p.allow_abbrev] == []
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "config file not found: run.cfg"),
+    ("k 7\n", "run.cfg:1: expected key=value"),
+    ("frobnicate=1\n", "unknown config key 'frobnicate' for augment"),
+    ("generator=external\n", "argument --generator: external needs --exec-in and --exec-out"),
+])
+def test_usage_errors_print_the_parser_usage(tmp_path, monkeypatch, capsys, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    assert main(["augment", *_REQUIRED["augment"][:-3], "--out", "out.csv",
+                 "--config", "run.cfg"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap augment")
+    assert err.splitlines()[-1] == f"hardshap augment: error: {message}", err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["rank", "augment", "removal-curve"])
+def test_scores_file_with_repeated_ids_is_refused(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    save_csv(Dataset([[-1.0], [0.0], [1.0]], [0, 0, 1], ("x1",), [0, 1, 2]), "in.csv", "label")
+    (tmp_path / "scores.csv").write_text(
+        "id,score,rank,method\n0,0.1,0,tmc_shapley\n0,0.5,2,tmc_shapley\n"
+        "1,0.3,1,tmc_shapley\n", encoding="utf-8")
+    argv = {
+        "rank": ["rank", "--scores", "scores.csv"],
+        "augment": ["augment", "--train", "in.csv", "--scores", "scores.csv", "--tau", "0.5",
+                    "--amount", "1", "--generator", "smote", "--k", "1"],
+        "removal-curve": ["removal-curve", "--train", "in.csv", "--valid", "in.csv",
+                          "--scores", "scores.csv"],
+    }[command]
+    assert main([*argv, "--out", "out.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {command}: ids must be unique\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("method, extra", [
     ("knn_shapley", []),
     ("exact_shapley", ["--no-standardize"]),
@@ -512,7 +587,8 @@ def test_dataiq_accepts_external_probability_matrix(tmp_path):
         "id,p_1,p_2\n0,0.9,0.95\n1,0.1,0.2\n2,0.5,0.6\n", encoding="utf-8"
     )
     tags = tmp_path / "tags.csv"
-    assert main(["dataiq", "--probs-in", str(probs), "--out", str(tags)]) == 0
+    # --seed is logged by every seeded command, so it stays accepted
+    assert main(["dataiq", "--probs-in", str(probs), "--seed", "3", "--out", str(tags)]) == 0
     rows = [l for l in tags.read_text().splitlines() if not l.startswith("#")][1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["Easy", "Hard", "Ambiguous"]
 
@@ -521,12 +597,21 @@ def test_dataiq_accepts_external_probability_matrix(tmp_path):
     (["--train", "train.csv", "--probs-in", "probs.csv"],
      "argument --probs-in: not allowed with argument --train"),
     ([], "one of the arguments --train --probs-in is required"),
+    # the --train bagging flags would be ignored next to --probs-in
+    (["--probs-in", "probs.csv", "--k", "7"], "argument --probs-in: not allowed with --k,"),
+    (["--probs-in", "probs.csv", "--checkpoints=3"], "not allowed with --checkpoints,"),
+    (["--probs-in", "probs.csv", "--label", "y"], "not allowed with --label,"),
+    (["--probs-in", "probs.csv", "--no-standardize", "--k", "5"],
+     "not allowed with --k, --no-standardize,"),
+    (["--probs-in", "probs.csv", "--config", "bagging.cfg"],
+     "not allowed with --checkpoints, --no-standardize,"),
 ])
 def test_dataiq_takes_exactly_one_probability_source(tmp_path, capsys, sources, message):
     (tmp_path / "train.csv").write_text("id,x,label\n0,0.0,0\n1,1.0,1\n", encoding="utf-8")
     (tmp_path / "probs.csv").write_text("id,p_1,p_2\n0,0.9,0.95\n1,0.1,0.2\n", encoding="utf-8")
+    (tmp_path / "bagging.cfg").write_text("checkpoints=4\nno_standardize=yes\n", encoding="utf-8")
     before = sorted(tmp_path.iterdir())
-    argv = ["dataiq", *(str(tmp_path / a) if a.endswith(".csv") else a for a in sources),
+    argv = ["dataiq", *(str(tmp_path / a) if a.endswith((".csv", ".cfg")) else a for a in sources),
             "--probs-out", str(tmp_path / "out_probs.csv"), "--out", str(tmp_path / "tags.csv")]
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hardshap.augment import SyntheticBatch
+from hardshap.dataiq import CheckpointProbs
 from hardshap.dataset import Dataset, SplitSpec, load_csv, save_csv, standardize, stratified_split
+from hardshap.perturb import PerturbationRecord
+from hardshap.valuation import ValuationScores
 
 
 def write_csv(path, text):
@@ -33,6 +37,25 @@ class TestDatasetType:
         ds = Dataset([[1.0]], [0], ("a",), [0])
         with pytest.raises(ValueError):
             ds.features[0, 0] = 5.0
+
+    @pytest.mark.parametrize("build, fields", [
+        (lambda a: Dataset(a["x"], a["y"], ("a",), a["i"]),
+         {"features": np.float64, "labels": np.int64, "ids": np.int64}),
+        (lambda a: ValuationScores(a["s"], a["i"], "tmc_shapley", {}),
+         {"scores": np.float64, "ids": np.int64}),
+        (lambda a: CheckpointProbs(a["p"], a["i"]), {"probs": np.float64, "ids": np.int64}),
+        (lambda a: SyntheticBatch(a["x"], a["y"]), {"rows": np.float64, "labels": np.int64}),
+        (lambda a: PerturbationRecord(a["f"], "ood", 0.5, 0), {"flags": np.bool_}),
+    ])
+    def test_records_hold_read_only_copies(self, build, fields):
+        given = {"x": np.array([[1.0], [2.0]]), "y": np.array([0, 1]), "i": np.array([4, 7]),
+                 "s": np.array([0.5, -0.5]), "p": np.array([[0.1, 0.2], [0.3, 0.4]]),
+                 "f": np.array([True, False])}
+        record = build(given)
+        for name, dtype in fields.items():
+            arr = getattr(record, name)
+            assert arr.dtype == dtype and not arr.flags.writeable
+            assert not any(np.shares_memory(arr, source) for source in given.values())
 
     def test_positions_of_unknown_id(self):
         ds = Dataset([[1.0], [2.0]], [0, 1], ("a",), [5, 9])

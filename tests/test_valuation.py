@@ -309,6 +309,13 @@ class TestScoresCsv:
         with pytest.raises(ValueError, match=message):
             load_scores_csv(path)
 
+    def test_repeated_ids_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,score,rank,method\n0,0.1,0,tmc_shapley\n0,0.5,2,tmc_shapley\n"
+                        "1,0.3,1,tmc_shapley\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="ids must be unique"):
+            load_scores_csv(path)
+
     @pytest.mark.parametrize("method", ["random", "dataiq_confidence"])
     def test_methods_no_valuation_produces_rejected(self, tmp_path, method):
         path = tmp_path / "s.csv"
