@@ -267,9 +267,12 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
 def _check_flag_rules(args: argparse.Namespace, argv: list[str],
                       parser: argparse.ArgumentParser) -> None:
     """The rules that join two flags; ``argv`` includes the ``--config`` lines."""
-    if args.command == "augment" and args.generator == "external":
-        if not (args.exec_in and args.exec_out):
+    if args.command == "augment":
+        given = [flag for flag in ("--exec-in", "--exec-out") if _given(argv, flag)]
+        if args.generator == "external" and not (args.exec_in and args.exec_out):
             parser.error("argument --generator: external needs --exec-in and --exec-out")
+        if args.generator != "external" and given:
+            parser.error(f"argument --generator: {args.generator} does not take {', '.join(given)}")
     if args.command == "dataiq" and args.probs_in:
         # there is nothing to bag, so the --train-mode flags would be ignored
         bagging = ("--k", "--checkpoints", "--label", "--no-standardize")
@@ -486,7 +489,10 @@ def main(argv: list[str] | None = None) -> int:
     parser, sub = _build_parser()
     try:
         expanded = _with_config(argv, sub)
-        args = parser.parse_args(expanded)
+        args, unknown = parser.parse_known_args(expanded)
+        if unknown:  # leftovers after the subcommand are its error, with its usage line
+            (sub.choices[args.command] if expanded[0] == args.command else parser).error(
+                f"unrecognized arguments: {' '.join(unknown)}")
         _check_flag_rules(args, expanded, sub.choices[args.command])
         return _COMMANDS[args.command](args, argv)
     except SystemExit as exc:  # the parser's exit: 2 after one error line, 0 after --help

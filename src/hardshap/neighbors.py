@@ -7,13 +7,16 @@ consumer the same total order and makes results independent of row storage
 order. Both kernels below return exactly what a stable argsort would.
 
 ``stable_order`` is the full order, which only the exact Shapley recursion
-and the coalition oracles need. ``smallest_k`` finds the k nearest without
-sorting whole rows: ``argpartition`` picks k candidates and only those are
-sorted. Where the k-th distance equals the (k+1)-th, the partition may have
-kept any of the tied columns, so the candidates at that distance are
-replaced by the lowest columns at it, keeping the cut where a stable sort
-puts it. Only those tied rows are scanned for the repair; the others keep
-the partition's candidates as they are.
+and the coalition oracles need. It sorts uint64 keys: each distance's bits
+with the low ceil(log2 n) bits replaced by its column, so equal distances
+come out in column order. A row is sorted again stably where two adjacent
+keys agree above those bits but their distances come out reversed, or where
+a negative entry or -0.0 sets a key's sign bit. ``smallest_k`` finds the k
+nearest without sorting whole rows: ``argpartition`` picks k candidates and
+only those are sorted. Where the k-th distance equals the (k+1)-th, the
+partition may have kept any of the tied columns, so on those rows alone the
+candidates at that distance are replaced by the lowest columns at it,
+keeping the cut where a stable sort puts it.
 
 Distances must not be NaN; ``inf`` (a masked-out pair) is allowed.
 """
@@ -27,6 +30,7 @@ from ._util import fixed_chunks
 from .dataset import Dataset
 
 QUERY_CHUNK = 256
+ORDER_ROWS = 8  # rows per stable_order call in the exact recursion
 
 
 def check_same_dimension(a: Dataset, b: Dataset) -> None:
@@ -45,19 +49,21 @@ def id_sorted_view(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def stable_order(dist: np.ndarray) -> np.ndarray:
-    """Column order of each row of dist by (distance, column).
-
-    Equals ``np.argsort(dist, axis=-1, kind="stable")`` for a row or a
-    block. The unstable default sort is faster; rows where it met an equal
-    pair of distances are sorted again stably.
-    """
-    order = np.argsort(dist, axis=-1)
-    ranked = np.take_along_axis(dist, order, axis=-1)
-    tied = (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1)
-    if dist.ndim == 1:
-        return np.argsort(dist, kind="stable") if tied else order
-    if tied.any():
-        order[tied] = np.argsort(dist[tied], axis=1, kind="stable")
+    """``np.argsort(dist, axis=-1, kind="stable")`` of a row or a block, from packed keys."""
+    dist = np.asarray(dist, dtype=np.float64)
+    n = dist.shape[-1]
+    low = np.uint64((1 << max(n - 1, 0).bit_length()) - 1)
+    keys = dist.view(np.uint64) & ~low | np.arange(n, dtype=np.uint64)
+    keys.sort(axis=-1)
+    rows, row_keys = np.atleast_2d(dist, keys)
+    redo = (row_keys[:, -1:] >= np.uint64(1 << 63)).any(axis=1)  # a sign bit sorts last
+    near = ((row_keys[:, 1:] ^ row_keys[:, :-1]) <= low).any(axis=1) & ~redo
+    keys &= low  # the keys become the column order
+    order, row_order = keys.view(np.int64), row_keys.view(np.int64)
+    ranked = np.take_along_axis(rows[near], row_order[near], axis=1)
+    redo[near] = (ranked[:, 1:] < ranked[:, :-1]).any(axis=1)
+    if redo.any():
+        row_order[redo] = np.argsort(rows[redo], axis=1, kind="stable")
     return order
 
 

@@ -24,7 +24,8 @@ from scipy.spatial.distance import cdist
 from . import _io
 from ._util import fixed_chunks, freeze_field, hard_count, parallel_map
 from .dataset import Dataset
-from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, rank_all, stable_order
+from .neighbors import ORDER_ROWS, QUERY_CHUNK, check_same_dimension, id_sorted_view
+from .neighbors import rank_all, stable_order
 
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
 
@@ -87,15 +88,16 @@ def _contributions_block(
     # Base case min(K,n)/(nK) instead of the usual 1/n keeps the recursion
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
-    for r in range(test_X.shape[0]):
-        idx = stable_order(dist[r])
-        match = (y[idx] == test_y[r]).astype(np.float64)
-        s = np.empty(n)
-        s[n - 1] = match[n - 1] * base
-        if n > 1:
-            delta = (match[:-1] - match[1:]) * weights
-            s[: n - 1] = s[n - 1] + np.cumsum(delta[::-1])[::-1]
-        out[r, idx] = s
+    matches = {label: (y == label).astype(np.float64) for label in np.unique(test_y)}
+    match, delta, s = np.empty(n), np.empty(n - 1), np.empty(n)
+    for lo, hi in fixed_chunks(test_X.shape[0], ORDER_ROWS):
+        for r, idx in zip(range(lo, hi), stable_order(dist[lo:hi])):
+            np.take(matches[test_y[r]], idx, out=match)
+            s[n - 1] = match[n - 1] * base
+            np.multiply(np.subtract(match[:-1], match[1:], out=delta), weights, out=delta)
+            np.cumsum(delta[::-1], out=s[: n - 1][::-1])
+            s[: n - 1] += s[n - 1]
+            out[r, idx] = s
     return out
 
 

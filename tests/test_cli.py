@@ -325,19 +325,28 @@ def test_unknown_config_key(tmp_path, capsys):
     (["--conf", "run.cfg"], "unrecognized arguments: --conf run.cfg"),
     (["--config"], "argument --config: expected one argument"),
 ])
-def test_flags_must_be_spelled_in_full(tmp_path, monkeypatch, capsys, blob_files, flags, message):
+def test_flags_must_be_spelled_in_full(tmp_path, monkeypatch, capsys, flags, message):
     # a prefix passed the parser but not the exact-name walks: --thr was
-    # logged in the output header and --conf never read its file
+    # logged in the output header and --conf never read its file. Leftover
+    # tokens are the subcommand's error, so its usage line is printed.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("k=7\n", encoding="utf-8")
-    argv = ["value", "--train", blob_files["train"], "--test", blob_files["test"],
-            "--out", "scores.csv", *flags]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: hardshap")
-    errors = [l for l in err.splitlines() if "error" in l]
-    assert len(errors) == 1 and errors[0].endswith(message), err
+    for command, required in _REQUIRED.items():
+        assert main([command, *required, "out.csv", *flags]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: hardshap {command} "), err
+        errors = [l for l in err.splitlines() if "error" in l]
+        assert errors == [f"hardshap {command}: error: {message}"], err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_unknown_flag_before_the_subcommand_is_the_top_parser_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--bogus", "rank", "--scores", "in.csv", "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap [-h]")
+    assert err.splitlines()[-1] == "hardshap: error: unrecognized arguments: --bogus", err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_thread_count_spellings_write_the_same_bytes(tmp_path, monkeypatch, blob_files):
@@ -492,6 +501,8 @@ def test_every_parser_takes_only_full_flag_names():
     ("k 7\n", "run.cfg:1: expected key=value"),
     ("frobnicate=1\n", "unknown config key 'frobnicate' for augment"),
     ("generator=external\n", "argument --generator: external needs --exec-in and --exec-out"),
+    ("generator=smote\nexec_out=synth.csv\n",
+     "argument --generator: smote does not take --exec-out"),
 ])
 def test_usage_errors_print_the_parser_usage(tmp_path, monkeypatch, capsys, config, message):
     monkeypatch.chdir(tmp_path)
@@ -503,6 +514,29 @@ def test_usage_errors_print_the_parser_usage(tmp_path, monkeypatch, capsys, conf
     err = capsys.readouterr().err
     assert err.startswith("usage: hardshap augment")
     assert err.splitlines()[-1] == f"hardshap augment: error: {message}", err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("exec_flags", [
+    ["--exec-in", "hard.csv", "--exec-out", "synth.csv"],
+    ["--exec-in=hard.csv"],
+    ["--exec-out", "synth.csv"],
+])
+def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, capsys, blob_files,
+                                                       exec_flags):
+    # smote reads neither path, so taking them would hide a mistyped --generator
+    monkeypatch.chdir(tmp_path)
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--out", "scores.csv"]) == 0
+    before = sorted(tmp_path.iterdir())
+    assert main(["augment", "--train", blob_files["train"], "--scores", "scores.csv",
+                 "--tau", "0.5", "--amount", "1", "--generator", "smote", "--out", "aug.csv",
+                 *exec_flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap augment ")
+    given = ", ".join(flag.partition("=")[0] for flag in exec_flags if flag.startswith("--"))
+    assert err.splitlines()[-1] == (
+        f"hardshap augment: error: argument --generator: smote does not take {given}"), err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -5,7 +5,9 @@ library ``save_*`` functions and the four CLI subcommands that write their
 own files. One ``perturb-bench`` run over all three characterizers on a
 tie-heavy lattice also pins the AUPRCs themselves, Data-IQ's included, and
 one ``dataiq`` run on the same lattice pins its raw bagged probabilities,
-which an AUPRC could hide. The fixtures pin cell text (shortest-repr floats,
+which an AUPRC could hide. One ``value`` run on lattices nudged by a few
+ulps pins exact scores whose every distance row needs the stable re-sort of
+``neighbors.stable_order``. The fixtures pin cell text (shortest-repr floats,
 ``-0.0``, subnormals, exponents), header quoting, comment lines and line
 endings (``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
 
@@ -46,6 +48,8 @@ FILES = (
     "pbench.csv",
     "pbench.csv.mean.csv",
     "probs_bagged.csv",
+    "near_scores.csv",
+    "near_scores.csv.meta",
 )
 
 
@@ -94,6 +98,23 @@ def write_all(out: Path) -> None:
     lattice = Dataset(np.column_stack([i % 7, i // 7 % 5]).astype(float),
                       (i % 7 + i // 7 % 5 + (i % 9 == 0)) % 2, ("x1", "x2"), i)
     save_csv(lattice, out / "lattice.csv")
+    # Lattice points with each coordinate's uint64 view raised by a few
+    # units: every test row holds distances that differ only in the low bits
+    # the packed sort keys replace, in an order the column order reverses.
+    def nudged(points, steps):
+        return (points.view(np.uint64) + steps.astype(np.uint64)).view(np.float64)
+
+    i, t = np.arange(60), np.arange(16)
+    near_train = Dataset(
+        nudged(np.column_stack([1 + i % 5, 1 + i // 5 % 4]).astype(float),
+               np.column_stack([i * 7 % 11, i * 5 % 13])),
+        (i % 5 + i // 5 % 4 + (i % 7 == 0)) % 2, ("x1", "x2"), i)
+    near_test = Dataset(
+        nudged(np.column_stack([1.5 + t % 4, 1 + t // 4 % 4]).astype(float),
+               np.column_stack([t * 3 % 7, t * 11 % 5])),
+        t % 2, ("x1", "x2"), t)
+    save_csv(near_train, out / "near_train.csv")
+    save_csv(near_test, out / "near_test.csv")
     cwd = os.getcwd()
     os.chdir(out)
     try:
@@ -109,6 +130,8 @@ def write_all(out: Path) -> None:
              "--checkpoints", "3", "--seed", "5", "--threads", "2", "--out", "pbench.csv"],
             ["dataiq", "--train", "lattice.csv", "--checkpoints", "4", "--k", "5", "--seed", "5",
              "--probs-out", "probs_bagged.csv", "--out", "tags_bagged.csv"],
+            ["value", "--train", "near_train.csv", "--test", "near_test.csv", "--k", "3",
+             "--no-standardize", "--out", "near_scores.csv"],
         )
         for argv in calls:
             if main(argv) != 0:

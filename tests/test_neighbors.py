@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial.distance import cdist
 
 from hardshap.neighbors import k_nearest, rank_all, smallest_k, stable_order
+from hardshap.sim import BlobConfig, gen_blobs
 
 
 def _stable(dist):
@@ -24,6 +26,46 @@ def distance_blocks(draw):
     inf_mask = draw(arrays(np.bool_, (n_rows, n_cols)))
     if draw(st.booleans()):
         dist[inf_mask] = np.inf
+    return dist
+
+
+def _column_bits(n_cols):
+    return max(n_cols - 1, 0).bit_length()
+
+
+def _nudged(base, offsets):
+    """base with small integers added to its uint64 view: distances apart only in low bits."""
+    return (np.broadcast_to(base, offsets.shape).astype(np.float64).view(np.uint64)
+            + offsets.astype(np.uint64)).view(np.float64)
+
+
+@st.composite
+def near_tie_blocks(draw):
+    """Distances that differ only in the low ceil(log2 n) bits the sort keys replace.
+
+    Offsets span a little more than those bits, so some pairs also differ
+    above them. Exact ties come from repeated offsets; +inf, 0.0, -0.0 and
+    negative entries are mixed in on request. The block is returned as a
+    C-order array, a Fortran-order copy or a strided view.
+    """
+    j = draw(st.integers(1, 7))
+    n_cols = draw(st.sampled_from([1, 2, 2**j - 1, 2**j, 2**j + 1]))
+    n_rows = draw(st.integers(1, 5))
+    base = draw(st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False))
+    span = 2 << _column_bits(n_cols)
+    offsets = draw(arrays(np.int64, (n_rows, n_cols), elements=st.integers(0, span)))
+    dist = _nudged(base, offsets)
+    specials = draw(st.sets(st.sampled_from([np.inf, 0.0, -0.0, "negative"])))
+    for special in specials:
+        mask = draw(arrays(np.bool_, dist.shape))
+        dist[mask] = -dist[mask] if special == "negative" else special
+    layout = draw(st.sampled_from(["c", "fortran", "strided"]))
+    if layout == "fortran":
+        return np.asfortranarray(dist)
+    if layout == "strided":
+        padded = np.zeros((n_rows, 2 * n_cols))
+        padded[:, ::2] = dist
+        return padded[:, ::2]
     return dist
 
 
@@ -49,15 +91,48 @@ class TestSmallestK:
 
 
 class TestStableOrder:
-    @settings(max_examples=300, deadline=None)
-    @given(distance_blocks())
+    @settings(max_examples=600, deadline=None)
+    @given(distance_blocks() | near_tie_blocks())
     def test_equals_stable_argsort(self, dist):
         assert np.array_equal(stable_order(dist), _stable(dist))
 
-    @settings(max_examples=200, deadline=None)
-    @given(distance_blocks())
+    @settings(max_examples=400, deadline=None)
+    @given(distance_blocks() | near_tie_blocks())
     def test_single_row(self, dist):
         assert np.array_equal(stable_order(dist[0]), _stable(dist[0]))
+
+    def test_only_rows_the_keys_misorder_are_sorted_again(self, monkeypatch):
+        def resorted(dist):
+            calls = []
+            argsort = np.argsort
+
+            def spy(a, *args, **kwargs):
+                if kwargs.get("kind") == "stable":
+                    calls.append(np.array(a))
+                return argsort(a, *args, **kwargs)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(np, "argsort", spy)
+                order = stable_order(dist)
+            assert np.array_equal(order, _stable(dist))
+            return calls
+
+        # continuous distances almost never agree above the column bits, and
+        # on this draw no row holds a misordered pair
+        train, _, test = gen_blobs(BlobConfig(n_train=2000, n_valid=1, n_test=64))
+        assert resorted(cdist(test.features, train.features)) == []
+
+        # rows nudged by up to 63 ulps around 1.0, beside rows whose nudges
+        # rise with the column and so come out right by column order alone
+        rng = np.random.default_rng(0)
+        offsets = rng.integers(0, 64, size=(40, 64))
+        offsets[::3] = np.sort(offsets[::3], axis=1)
+        dist = _nudged(1.0, offsets)
+        coarse = dist.view(np.uint64) >> np.uint64(_column_bits(64))
+        misordered = (_stable(coarse) != _stable(dist)).any(axis=1)
+        assert 0 < misordered.sum() < len(dist)
+        calls = resorted(dist)
+        assert len(calls) == 1 and np.array_equal(calls[0], dist[misordered])
 
 
 class TestKNearest:
