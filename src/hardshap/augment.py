@@ -111,7 +111,7 @@ def smote_generate(
         u = rng.uniform(size=quota)[:, None]
         drawn, drawn_at = np.unique(picks, return_inverse=True)
         # column 0 is the row itself or an equal row stored before it; drop it
-        neighbor_idx = k_nearest(X, X[drawn], k_neighbors + 1)[:, 1:]
+        neighbor_idx = k_nearest(X, X[drawn], k_neighbors + 1)[0][:, 1:]
         base = X[picks]
         partner = X[neighbor_idx[drawn_at, neighbor_pick]]
         rows[out:out + quota] = base + u * (partner - base)

@@ -12,6 +12,7 @@ spelled in full, and every usage error prints the parser's usage line.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from functools import partial
@@ -322,12 +323,8 @@ def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
             train, test, args.k, permutations=perms,
             truncation_tol=args.truncation_tol, seed=args.seed,
         )
-    scores = valuation.ValuationScores(
-        scores.scores,
-        scores.ids,
-        scores.method,
-        {**scores.params, "seed": args.seed, "standardize": not args.no_standardize},
-    )
+    scores = dataclasses.replace(scores, params={
+        **scores.params, "seed": args.seed, "standardize": not args.no_standardize})
     valuation.save_scores_csv(
         scores, args.out,
         header_comment=_header(argv, seed=args.seed, k=args.k, standardize=not args.no_standardize),
@@ -358,6 +355,9 @@ def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
     prob_ids, probs = evaluation.load_probs_column_csv(args.probs, "prob")
     label_ids, labels = evaluation.load_labels_column_csv(args.labels, args.label)
+    for ids, path in ((prob_ids, args.probs), (label_ids, args.labels)):
+        if len(np.unique(ids)) != ids.shape[0]:  # rows would pair by file position
+            raise ValueError(f"ids must be unique in {path}")
     order_p, order_l = np.argsort(prob_ids), np.argsort(label_ids)
     if not np.array_equal(prob_ids[order_p], label_ids[order_l]):
         raise ValueError("probs and labels files do not cover the same ids")
@@ -488,11 +488,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, sub = _build_parser()
     try:
+        # the top parser takes no flag but --help, so all that precedes the subcommand is stray
+        at = next((i for i, token in enumerate(argv) if token in sub.choices), 0)
+        if at and not {"-h", "--help"} & set(argv[:at]):
+            parser.error(f"unrecognized arguments: {' '.join(argv[:at])}")
         expanded = _with_config(argv, sub)
         args, unknown = parser.parse_known_args(expanded)
         if unknown:  # leftovers after the subcommand are its error, with its usage line
-            (sub.choices[args.command] if expanded[0] == args.command else parser).error(
-                f"unrecognized arguments: {' '.join(unknown)}")
+            sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
         _check_flag_rules(args, expanded, sub.choices[args.command])
         return _COMMANDS[args.command](args, argv)
     except SystemExit as exc:  # the parser's exit: 2 after one error line, 0 after --help

@@ -42,6 +42,8 @@ class CheckpointProbs:
             raise ValueError("need at least 2 checkpoints for a variance signal")
         if probs.shape[0] != ids.shape[0]:
             raise ValueError("ids length does not match probability rows")
+        if len(np.unique(ids)) != ids.shape[0]:
+            raise ValueError("ids must be unique")
         if probs.min() < 0.0 or probs.max() > 1.0:
             raise ValueError("probabilities must lie in [0, 1]")
 

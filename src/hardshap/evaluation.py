@@ -8,17 +8,18 @@ files can be scored through the same metrics.
 Every vote ranks a query row's training columns by (distance, column) over
 the id-sorted training set, so distance ties go to the lower id. Synthetic
 batches are voted through ``CachedVote``, which computes the valid->train
-neighbourhood once: for each query row it keeps the K nearest training
-columns, by (distance, column), with their distances. ``append_batch`` gives
-a batch's rows ids above every training id, in batch order, so they come
-after every training column, in batch order. A training row outside the
-cached K has K training rows ahead of it, which stay ahead of it once the
-batch is added. So the K nearest of [the K cached columns, then the batch
-rows] are the K nearest of train plus batch: at equal distance a cached
-column precedes every batch row and a lower column a higher one, as in the
-full order. The vote is bit-equal to ``knn_predict_proba`` refitted on the
-augmented set, which is never built: a replicate computes only its batch's
-distances.
+neighbourhood once, by ``neighbors.k_nearest``: the K nearest training
+columns of each query row, by (distance, column), with their distances.
+``append_batch`` gives a batch's rows ids above every training id, in batch
+order, so they come after every training column, in batch order. A training
+row outside the cached K has K training rows ahead of it, which stay ahead
+of it once the batch is added. So the K nearest of [the K cached columns,
+then the batch rows] are the K nearest of train plus batch: at equal
+distance a cached column precedes every batch row and a lower column a
+higher one, as in the full order. The vote is bit-equal to
+``knn_predict_proba`` refitted on the augmented set, which is never built: a
+replicate computes only its batch's distances and merges them with the
+cached K (faster than a second top-K).
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from . import _io
 from ._util import fixed_chunks, parallel_map, round_half_up
 from .augment import GeneratorSpec, SyntheticBatch, targeted_batch
 from .dataset import Dataset
-from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view, smallest_k
+from .neighbors import (
+    QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
+)
 from .valuation import ValuationScores, check_aligned, rank_by_hardness
 
 DOWNSTREAM_K = 15
@@ -64,64 +67,32 @@ def knn_predict_proba(
 ) -> np.ndarray:
     """Fraction of the K nearest training rows (distance ties by id) with label 1."""
     check_same_dimension(train, query)
-    _check_k(k, train.n)
     X, y, _ = id_sorted_view(train)
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        return _vote(cdist(query.features[lo:hi], X), y[None, :], k)
-
-    parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-def _check_k(k: int, n: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"K={k} out of range for {n} training rows")
-
-
-def _vote(dist: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Share of label 1 among each row's k nearest columns.
-
-    labels holds each column's label per row of dist, or once for all rows
-    as a (1, columns) array.
-    """
-    return np.take_along_axis(labels, smallest_k(dist, k), axis=1).mean(axis=1)
+    return y[k_nearest(X, query.features, k, threads)[0]].mean(axis=1)
 
 
 class CachedVote:
     """``knn_predict_proba`` of one query set against one train set plus a synthetic batch.
 
-    Built once from the K nearest training columns of every query row, with
-    their distances and labels; ``predict_proba`` computes only the batch
-    rows' distances (the module docstring shows why the result is exact).
+    Built by one ``k_nearest`` call: the K nearest training columns of every
+    query row, with their distances and labels. ``predict_proba`` computes only
+    the batch rows' distances (the module docstring shows why the result is exact).
     Memory is query rows x K, plus ``QUERY_CHUNK`` x (K + batch rows) while
     voting.
     """
 
     def __init__(self, train: Dataset, query: Dataset, k: int = DOWNSTREAM_K, threads: int = 1):
         check_same_dimension(train, query)
-        if k < 1:
-            raise ValueError(f"K={k} out of range for {train.n} training rows")
         X, y, _ = id_sorted_view(train)
-        keep = min(k, train.n)
-
-        def run(block: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-            lo, hi = block
-            dist = cdist(query.features[lo:hi], X)
-            columns = smallest_k(dist, keep)
-            return np.take_along_axis(dist, columns, axis=1), y[columns]
-
-        parts = parallel_map(run, list(fixed_chunks(query.n, QUERY_CHUNK)), threads)
-        self.dist = np.concatenate([dist for dist, _ in parts])
-        self.labels = np.concatenate([labels for _, labels in parts])
+        columns, self.dist = k_nearest(X, query.features, min(k, train.n), threads)
+        self.labels = y[columns]
         self.train, self.query, self.k = train, query, k
 
     def predict_proba(self, batch: SyntheticBatch) -> np.ndarray:
         """Equals ``knn_predict_proba(append_batch(train, batch), query, k)``."""
         if batch.rows.shape[1] != self.query.d:
             raise ValueError(f"dimension mismatch: {batch.rows.shape[1]} vs {self.query.d}")
-        _check_k(self.k, self.train.n + batch.m)
+        check_k(self.k, self.train.n + batch.m)
         out = np.empty(self.query.n)
         for lo, hi in fixed_chunks(self.query.n, QUERY_CHUNK):
             new_dist = cdist(self.query.features[lo:hi], batch.rows)
@@ -129,7 +100,7 @@ class CachedVote:
             labels = np.concatenate(
                 [self.labels[lo:hi], np.broadcast_to(batch.labels, new_dist.shape)], axis=1
             )
-            out[lo:hi] = _vote(dist, labels, self.k)
+            out[lo:hi] = np.take_along_axis(labels, smallest_k(dist, self.k), axis=1).mean(axis=1)
         return out
 
 
@@ -208,7 +179,8 @@ def removal_curve(
 
     Each point equals ``knn_predict_proba`` refitted on the rows kept: the
     distances are computed once per block of valid rows, and each fraction
-    sets its dropped columns to ``inf`` (the dropped sets are nested).
+    sets its dropped columns to ``inf`` (the dropped sets are nested), which
+    is faster than a ``k_nearest`` per fraction over the kept rows.
     """
     if strategy not in ("hardest", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -228,7 +200,7 @@ def removal_curve(
         keep_mask = ~np.isin(train.ids, doomed)
         if np.unique(train.labels[keep_mask]).size < 2:
             raise ValueError(f"removing {fraction:.0%} leaves a single-class training set")
-        _check_k(k, int(keep_mask.sum()))
+        check_k(k, int(keep_mask.sum()))
         dropped.append(np.flatnonzero(~keep_mask[order]))
     if not dropped:
         return []
@@ -239,7 +211,7 @@ def removal_curve(
         np.minimum(dist, np.finfo(np.float64).max, out=dist)
         for f, columns in enumerate(dropped):
             dist[:, columns] = np.inf
-            probs[f, lo:hi] = _vote(dist, y[None, :], k)
+            probs[f, lo:hi] = y[smallest_k(dist, k)].mean(axis=1)
     return [(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, probs)]
 
 

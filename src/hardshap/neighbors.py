@@ -18,6 +18,11 @@ partition may have kept any of the tied columns, so on those rows alone the
 candidates at that distance are replaced by the lowest columns at it,
 keeping the cut where a stable sort puts it.
 
+``k_nearest``, the one top-K query, serves SMOTE, the downstream KNN vote
+and the ``CachedVote`` build. Data-IQ, the exact recursion and
+``removal_curve`` keep their own ``cdist`` blocks: each uses more of a block
+than its top K.
+
 Distances must not be NaN; ``inf`` (a masked-out pair) is allowed.
 """
 
@@ -26,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._util import fixed_chunks
+from ._util import fixed_chunks, parallel_map
 from .dataset import Dataset
 
 QUERY_CHUNK = 256
@@ -102,15 +107,30 @@ def rank_all(train_features: np.ndarray, query: np.ndarray) -> np.ndarray:
     return stable_order(cdist(query, train_features))
 
 
-def k_nearest(train_features: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest training rows per query row, tie-stable.
+def check_k(k: int, n: int) -> None:
+    """Refuse a K that is not in 1..n for n training rows."""
+    if not 1 <= k <= n:
+        raise ValueError(f"K={k} out of range for {n} training rows")
 
-    Distances are computed QUERY_CHUNK query rows at a time, so memory
-    stays linear in the training size.
+
+def k_nearest(
+    train_features: np.ndarray, query: np.ndarray, k: int, threads: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, distances) of the k nearest training rows per query row, tie-stable.
+
+    Columns go by (distance, column); distances are their ``cdist`` values.
+    Query rows go QUERY_CHUNK at a time, in blocks that do not depend on
+    ``threads``, so memory stays linear in the training size.
     """
-    if not 1 <= k <= train_features.shape[0]:
-        raise ValueError(f"K={k} out of range for {train_features.shape[0]} training rows")
-    out = np.empty((query.shape[0], k), dtype=np.intp)
-    for lo, hi in fixed_chunks(query.shape[0], QUERY_CHUNK):
-        out[lo:hi] = smallest_k(cdist(query[lo:hi], train_features), k)
-    return out
+    check_k(k, train_features.shape[0])
+    columns = np.empty((query.shape[0], k), dtype=np.intp)
+    distances = np.empty((query.shape[0], k))
+
+    def run(block: tuple[int, int]) -> None:
+        lo, hi = block
+        dist = cdist(query[lo:hi], train_features)
+        columns[lo:hi] = smallest_k(dist, k)
+        distances[lo:hi] = np.take_along_axis(dist, columns[lo:hi], axis=1)
+
+    parallel_map(run, list(fixed_chunks(query.shape[0], QUERY_CHUNK)), threads)
+    return columns, distances

@@ -149,6 +149,22 @@ def test_eval_rejects_labels_other_than_0_and_1(tmp_path, capsys):
     assert "gini=" not in captured.out
 
 
+@pytest.mark.parametrize("probs_rows, labels_rows", [
+    # each order of the two id-0 probabilities gave its own AUC
+    (["0,0.2", "0,0.9", "1,0.5", "2,0.1"], ["0,0", "0,1", "1,1", "2,0"]),
+    (["0,0.9", "0,0.2", "1,0.5", "2,0.1"], ["0,0", "0,1", "1,1", "2,0"]),
+    (["0,0.2", "1,0.5", "2,0.1"], ["0,0", "1,1", "2,0", "2,1"]),
+])
+def test_eval_refuses_repeated_ids(tmp_path, capsys, probs_rows, labels_rows):
+    probs, labels, out = tmp_path / "probs.csv", tmp_path / "labels.csv", tmp_path / "out.csv"
+    probs.write_text("\n".join(["id,prob", *probs_rows, ""]), encoding="utf-8")
+    labels.write_text("\n".join(["id,label", *labels_rows, ""]), encoding="utf-8")
+    assert main(["eval", "--probs", str(probs), "--labels", str(labels), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: eval: ids must be unique in ")
+    assert captured.out == "" and not out.exists()
+
+
 def test_perturb_bench_grid(tmp_path, blob_files):
     out = tmp_path / "bench.csv"
     assert main(["perturb-bench", "--train", blob_files["train"],
@@ -214,24 +230,29 @@ def test_eval_pipeline_builds_the_valid_train_neighbourhood_once(
     prefix = str(tmp_path / "blob")
     assert main(["sim-blobs", "--seed", "4", "--out-prefix", prefix, "--n-train", str(n_train),
                  "--n-valid", str(n_valid), "--n-test", "100"]) == 0
-    reference_rows = []
-    real_cdist = evaluation.cdist
+    reference_rows, nearest_rows = [], []
+    real_cdist, real_k_nearest = evaluation.cdist, evaluation.k_nearest
 
     def counting_cdist(XA, XB, *args, **kwargs):
         reference_rows.append(len(XB))
         return real_cdist(XA, XB, *args, **kwargs)
 
+    def counting_k_nearest(train_features, *args, **kwargs):
+        nearest_rows.append(len(train_features))
+        return real_k_nearest(train_features, *args, **kwargs)
+
     monkeypatch.setattr(evaluation, "cdist", counting_cdist)
+    monkeypatch.setattr(evaluation, "k_nearest", counting_k_nearest)
     assert main(["eval-pipeline", "--train", f"{prefix}_train.csv",
                  "--valid", f"{prefix}_valid.csv", "--test", f"{prefix}_test.csv",
                  "--tau", "0.1", "--amount", "1.0", "--generator", "smote", "--gen-k", "2",
                  "--replicates", str(replicates), "--seed", "8", "--with-baseline",
                  "--out", str(tmp_path / "report.csv")]) == 0
     blocks = math.ceil(n_valid / QUERY_CHUNK)
-    # A refit per replicate would pass all n_train + m augmented rows.
-    assert sum(rows >= n_train for rows in reference_rows) == blocks
+    # One query builds the cache; a refit per replicate would query all n_train + m rows.
+    assert nearest_rows == [n_train]
     # Two arms, each replicate computing only its 20 synthetic rows' distances.
-    assert sorted(reference_rows) == [20] * (2 * replicates * blocks) + [n_train] * blocks
+    assert sorted(reference_rows) == [20] * (2 * replicates * blocks)
 
 
 def test_smote_searches_neighbours_only_for_the_rows_it_draws(tmp_path, monkeypatch):
@@ -342,11 +363,24 @@ def test_flags_must_be_spelled_in_full(tmp_path, monkeypatch, capsys, flags, mes
 
 def test_unknown_flag_before_the_subcommand_is_the_top_parser_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert main(["--bogus", "rank", "--scores", "in.csv", "--out", "out.csv"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: hardshap [-h]")
-    assert err.splitlines()[-1] == "hardshap: error: unrecognized arguments: --bogus", err
-    assert list(tmp_path.iterdir()) == []
+    for argv, stray in [
+        (["--bogus", "rank", "--scores", "in.csv", "--out", "out.csv"], "--bogus"),
+        # a flag value before the subcommand is not taken for the subcommand
+        (["--thr", "2", "value", "--train", "t.csv", "--test", "t.csv", "--out", "out.csv"],
+         "--thr 2"),
+        # nor is the stray flag lost behind the subcommand's missing arguments
+        (["--bogus", "rank"], "--bogus"),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: hardshap [-h]")
+        assert err.splitlines()[-1] == f"hardshap: error: unrecognized arguments: {stray}", err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_help_before_the_subcommand_still_prints_the_top_help(capsys):
+    assert main(["-h", "rank"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hardshap [-h]")
 
 
 def test_thread_count_spellings_write_the_same_bytes(tmp_path, monkeypatch, blob_files):
@@ -625,6 +659,14 @@ def test_dataiq_accepts_external_probability_matrix(tmp_path):
     assert main(["dataiq", "--probs-in", str(probs), "--seed", "3", "--out", str(tags)]) == 0
     rows = [l for l in tags.read_text().splitlines() if not l.startswith("#")][1:]
     assert [r.rsplit(",", 1)[1] for r in rows] == ["Easy", "Hard", "Ambiguous"]
+
+
+def test_dataiq_refuses_repeated_ids_in_a_probability_matrix(tmp_path, capsys):
+    probs, tags = tmp_path / "probs.csv", tmp_path / "tags.csv"
+    probs.write_text("id,p_1,p_2\n0,0.9,0.95\n0,0.1,0.2\n1,0.5,0.6\n", encoding="utf-8")
+    assert main(["dataiq", "--probs-in", str(probs), "--out", str(tags)]) == 1
+    assert capsys.readouterr().err == "error: dataiq: ids must be unique\n"
+    assert not tags.exists()
 
 
 @pytest.mark.parametrize("sources, message", [

@@ -295,3 +295,8 @@ class TestCheckpointProbsType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="lie in"):
             CheckpointProbs(np.array([[0.5, 1.2]]), np.array([0]))
+
+    def test_rejects_repeated_ids(self):
+        # each row would be tagged, so id 0 would get two tags
+        with pytest.raises(ValueError, match="ids must be unique"):
+            CheckpointProbs(np.array([[0.5, 0.6], [0.1, 0.2]]), np.array([0, 0]))

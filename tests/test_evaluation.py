@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardshap import evaluation
+from hardshap import evaluation, neighbors
 from hardshap._util import round_half_up
 from hardshap.augment import (
     GeneratorSpec,
@@ -240,7 +240,9 @@ class TestCachedVote:
         batch = _tied_batch(rng, train, valid, int(rng.integers(1, 30)))
         augmented = append_batch(train, batch)
         k = int(rng.integers(1, augmented.n + 1))
-        with mock.patch.object(evaluation, "QUERY_CHUNK", chunk):
+        # the cache is built in neighbors' blocks and voted in evaluation's
+        with mock.patch.object(evaluation, "QUERY_CHUNK", chunk), \
+                mock.patch.object(neighbors, "QUERY_CHUNK", chunk):
             cached = CachedVote(train, valid, k, threads=2).predict_proba(batch)
             refit = knn_predict_proba(augmented, valid, k)
         assert cached.tobytes() == refit.tobytes()

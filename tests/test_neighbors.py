@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial.distance import cdist
 
+from hardshap import neighbors
 from hardshap.neighbors import k_nearest, rank_all, smallest_k, stable_order
 from hardshap.sim import BlobConfig, gen_blobs
 
@@ -141,7 +142,28 @@ class TestKNearest:
         train = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
         query = rng.integers(0, 3, size=(600, 2)).astype(np.float64)  # > one chunk
         expected = rank_all(train, query)[:, :7]
-        assert np.array_equal(k_nearest(train, query, 7), expected)
+        assert np.array_equal(k_nearest(train, query, 7)[0], expected)
+
+    def test_distances_are_cdist_at_the_returned_columns(self):
+        rng = np.random.default_rng(5)
+        train, query = rng.random((90, 3)), rng.random((300, 3))
+        columns, distances = k_nearest(train, query, 9)
+        expected = np.take_along_axis(cdist(query, train), columns, axis=1)
+        assert distances.tobytes() == expected.tobytes()
+
+    def test_thread_count_does_not_change_the_result(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "QUERY_CHUNK", 16)  # 7 blocks
+        rng = np.random.default_rng(6)
+        train = rng.integers(0, 4, size=(50, 2)).astype(np.float64)  # heavy ties
+        query = rng.integers(0, 4, size=(100, 2)).astype(np.float64)
+        one, four = k_nearest(train, query, 12, threads=1), k_nearest(train, query, 12, threads=4)
+        for a, b in zip(one, four):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_empty_query(self):
+        columns, distances = k_nearest(np.zeros((4, 2)), np.empty((0, 2)), 3, threads=2)
+        assert columns.shape == distances.shape == (0, 3)
+        assert columns.dtype == np.intp and distances.dtype == np.float64
 
     def test_k_range_checked(self):
         train = np.zeros((4, 1))
