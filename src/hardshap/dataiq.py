@@ -70,7 +70,10 @@ def confidence(cp: CheckpointProbs) -> np.ndarray:
 
 def aleatoric(cp: CheckpointProbs) -> np.ndarray:
     """Mean p(1-p) across checkpoints; 0 iff every checkpoint is certain, max 0.25."""
-    return (cp.probs * (1.0 - cp.probs)).mean(axis=1)
+    terms = cp.probs * (1.0 - cp.probs)
+    # the mean of subnormal terms can round to 0; such a row keeps the
+    # smallest positive float, so 0 still means "every checkpoint certain"
+    return np.maximum(terms.mean(axis=1), np.nextafter(0.0, 1.0) * terms.any(axis=1))
 
 
 def tag(

@@ -83,21 +83,24 @@ def _contributions_block(
     ascending id. Output columns follow the id-sorted train order.
     """
     n = X.shape[0]
-    dist = cdist(test_X, X)
     out = np.empty((test_X.shape[0], n))
     # Base case min(K,n)/(nK) instead of the usual 1/n keeps the recursion
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
-    matches = {label: (y == label).astype(np.float64) for label in np.unique(test_y)}
-    match, delta, s = np.empty(n), np.empty(n - 1), np.empty(n)
+    # Matches as int8 and distances for ORDER_ROWS rows at a time keep the
+    # per-row working set small as n grows; the values are unchanged, since
+    # match differences in {-1, 0, 1} scale the weights exactly.
+    matches = {label: (y == label).astype(np.int8) for label in np.unique(test_y)}
+    match, step = np.empty(n, dtype=np.int8), np.empty(n - 1, dtype=np.int8)
+    delta, s = np.empty(n - 1), np.empty(n)
     for lo, hi in fixed_chunks(test_X.shape[0], ORDER_ROWS):
-        for r, idx in zip(range(lo, hi), stable_order(dist[lo:hi])):
+        for r, idx in zip(range(lo, hi), stable_order(cdist(test_X[lo:hi], X))):
             np.take(matches[test_y[r]], idx, out=match)
             s[n - 1] = match[n - 1] * base
-            np.multiply(np.subtract(match[:-1], match[1:], out=delta), weights, out=delta)
+            np.multiply(np.subtract(match[:-1], match[1:], out=step), weights, out=delta)
             np.cumsum(delta[::-1], out=s[: n - 1][::-1])
             s[: n - 1] += s[n - 1]
-            out[r, idx] = s
+            out[r][idx] = s
     return out
 
 

@@ -46,6 +46,10 @@ class TestAleatoric:
         got = aleatoric(probs([[0.2, 0.4, 0.6]]))[0]
         assert abs(got - (0.16 + 0.24 + 0.24) / 3) < 1e-15
 
+    def test_subnormal_uncertainty_is_not_zero(self):
+        # the mean of [0, 5e-324] rounds to 0 in float64
+        assert aleatoric(probs([[0.0, 5e-324]]))[0] > 0.0
+
     @settings(max_examples=60)
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
     def test_bounds_and_zero_condition(self, row):
