@@ -2,7 +2,6 @@
 
 from .augment import (
     GeneratorSpec,
-    SyntheticBatch,
     smote_generate,
     targeted_augment,
     weighted_ks,
@@ -63,7 +62,6 @@ __all__ = [
     "MetricReport",
     "PerturbationRecord",
     "SplitSpec",
-    "SyntheticBatch",
     "ValuationScores",
     "aleatoric",
     "atypical_scale",

@@ -15,9 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ._util import freeze_field, largest_remainder, round_half_up
+from ._util import largest_remainder, round_half_up
 from .dataset import Dataset, load_csv, save_csv
-from .neighbors import k_nearest
+from .neighbors import check_same_dimension, k_nearest
 from .valuation import ValuationScores, hardest_subset
 
 GENERATOR_KINDS = ("smote", "external")
@@ -47,28 +47,6 @@ class GeneratorSpec:
         return GeneratorSpec(self.kind, {**self.params, "seed": seed})
 
 
-@dataclass(frozen=True)
-class SyntheticBatch:
-    """Generated rows and their labels, in the order they are appended to train."""
-
-    rows: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        rows = freeze_field(self, "rows", np.float64)
-        labels = freeze_field(self, "labels", np.int64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ValueError("batch must contain at least one row")
-        if labels.shape != (rows.shape[0],):
-            raise ValueError("labels length must match rows")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("synthetic rows contain NaN or infinite entries")
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-
 def _class_allocation(labels: np.ndarray, m: int) -> dict[int, int]:
     """Largest-remainder allocation of m rows proportional to class prevalence."""
     classes = np.unique(labels)
@@ -76,15 +54,14 @@ def _class_allocation(labels: np.ndarray, m: int) -> dict[int, int]:
     return dict(zip(classes.tolist(), largest_remainder(m, quotas)))
 
 
-def smote_generate(
-    source: Dataset, m: int, k_neighbors: int = 5, seed: int = 0
-) -> SyntheticBatch:
+def smote_generate(source: Dataset, m: int, k_neighbors: int = 5, seed: int = 0) -> Dataset:
     """Sample m rows along segments between same-class nearest neighbors.
 
     Classes are represented proportionally to their prevalence in the
     source (largest-remainder rounding); each row copies its seed point's
-    label. Neighbors are searched inside the source, for the rows drawn as
-    seed points only, so the search scales with m, not the source size.
+    label. The rows carry the source's feature names and ids 0..m-1.
+    Neighbors are searched inside the source, for the rows drawn as seed
+    points only, so the search scales with m, not the source size.
     """
     if m < 1:
         raise ValueError("m must be positive")
@@ -117,7 +94,7 @@ def smote_generate(
         rows[out:out + quota] = base + u * (partner - base)
         labels[out:out + quota] = cls
         out += quota
-    return SyntheticBatch(rows, labels)
+    return Dataset(rows, labels, source.feature_names, np.arange(m))
 
 
 class ExternalGeneratorError(RuntimeError):
@@ -126,7 +103,7 @@ class ExternalGeneratorError(RuntimeError):
 
 def external_generate(
     source: Dataset, m: int, exec_in: str | Path, exec_out: str | Path
-) -> SyntheticBatch:
+) -> Dataset:
     """File handshake with an out-of-process generator.
 
     Writes the source rows to exec_in and ingests exec_out, which the
@@ -150,10 +127,10 @@ def external_generate(
         raise ExternalGeneratorError("external rows use labels absent from the source subset")
     if synth.n < m:
         raise ExternalGeneratorError(f"external generator produced {synth.n} rows, need {m}")
-    return SyntheticBatch(synth.features[:m], synth.labels[:m])
+    return synth.take(np.arange(m))
 
 
-def generate(source: Dataset, m: int, gen: GeneratorSpec) -> SyntheticBatch:
+def generate(source: Dataset, m: int, gen: GeneratorSpec) -> Dataset:
     """Dispatch to the generator named by the spec."""
     if gen.kind == "smote":
         k_neighbors, seed = int(gen.params.get("k_neighbors", 5)), int(gen.params.get("seed", 0))
@@ -165,14 +142,17 @@ def generate(source: Dataset, m: int, gen: GeneratorSpec) -> SyntheticBatch:
     return external_generate(source, m, str(exec_in), str(exec_out))
 
 
-def append_batch(train: Dataset, batch: SyntheticBatch) -> Dataset:
-    """Union of the training set and a batch; synthetic rows get fresh ids."""
-    if batch.rows.shape[1] != train.d:
-        raise ValueError("batch dimension does not match the training set")
+def append_batch(train: Dataset, batch: Dataset) -> Dataset:
+    """Union of the training set and a batch, with train's feature names.
+
+    The batch's ids are dropped: its rows get fresh ids above every
+    training id, in batch order.
+    """
+    check_same_dimension(batch, train)
     first_free = int(train.ids.max()) + 1
-    new_ids = np.arange(first_free, first_free + batch.m, dtype=np.int64)
+    new_ids = np.arange(first_free, first_free + batch.n, dtype=np.int64)
     return Dataset(
-        np.concatenate([train.features, batch.rows]),
+        np.concatenate([train.features, batch.features]),
         np.concatenate([train.labels, batch.labels]),
         train.feature_names,
         np.concatenate([train.ids, new_ids]),
@@ -181,7 +161,7 @@ def append_batch(train: Dataset, batch: SyntheticBatch) -> Dataset:
 
 def targeted_batch(
     train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
-) -> SyntheticBatch:
+) -> Dataset:
     """Rows the generator draws after fitting on the tau-hardest rows of train.
 
     Draws round(amount * ceil(tau*n)) rows; tau=1 is the non-targeted
@@ -213,16 +193,13 @@ def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(cdf_a - cdf_b).max())
 
 
-def weighted_ks(
-    real: Dataset, synth: SyntheticBatch, weights: np.ndarray | None = None
-) -> float:
+def weighted_ks(real: Dataset, synth: Dataset, weights: np.ndarray | None = None) -> float:
     """Weighted mean of per-feature two-sample KS statistics in [0, 1].
 
     0 means identical marginals, 1 disjoint supports on every weighted
     feature. Weights default to uniform and are normalized internally.
     """
-    if synth.rows.shape[1] != real.d:
-        raise ValueError("feature dimension mismatch")
+    check_same_dimension(synth, real)
     if weights is None:
         weights = np.ones(real.d)
     weights = np.asarray(weights, dtype=np.float64)
@@ -232,6 +209,6 @@ def weighted_ks(
     if total <= 0:
         raise ValueError("weights must not all be zero")
     stats = np.array(
-        [_ks_statistic(real.features[:, f], synth.rows[:, f]) for f in range(real.d)]
+        [_ks_statistic(real.features[:, f], synth.features[:, f]) for f in range(real.d)]
     )
     return float((weights * stats).sum() / total)

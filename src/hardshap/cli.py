@@ -144,7 +144,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--with-baseline", action="store_true", help="also run the tau=1 arm")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
-    p.add_argument("--baseline-out", help="default: <out> with a .baseline.csv suffix")
+    p.add_argument("--baseline-out", help="with --with-baseline; default: <out>.baseline.csv")
     common(p)
 
     p = sub.add_parser("perturb-bench", help="AUPRC of characterizers vs planted hardness")
@@ -159,7 +159,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                    default=",".join(perturb.CHARACTERIZERS))
     p.add_argument("--runs", type=_at_least(1, "runs"), default=3)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
-    p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
+    p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10,
+                   help="bagging checkpoints of the dataiq characterizer (default 10)")
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--mean-out", help="default: <out> with a .mean.csv suffix")
@@ -267,19 +268,33 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
 
 def _check_flag_rules(args: argparse.Namespace, argv: list[str],
                       parser: argparse.ArgumentParser) -> None:
-    """The rules that join two flags; ``argv`` includes the ``--config`` lines."""
+    """The rules that join two flags; ``argv`` includes the ``--config`` lines.
+
+    A flag that only configures a mode the command does not run would be
+    ignored, yet logged in the output header, so it is refused.
+    """
+
+    def given(*flags: str) -> str:
+        return ", ".join(flag for flag in flags if _given(argv, flag))
+
     if args.command == "augment":
-        given = [flag for flag in ("--exec-in", "--exec-out") if _given(argv, flag)]
         if args.generator == "external" and not (args.exec_in and args.exec_out):
             parser.error("argument --generator: external needs --exec-in and --exec-out")
-        if args.generator != "external" and given:
-            parser.error(f"argument --generator: {args.generator} does not take {', '.join(given)}")
-    if args.command == "dataiq" and args.probs_in:
-        # there is nothing to bag, so the --train-mode flags would be ignored
-        bagging = ("--k", "--checkpoints", "--label", "--no-standardize")
-        if refused := [flag for flag in bagging if _given(argv, flag)]:
-            parser.error(f"argument --probs-in: not allowed with {', '.join(refused)}, "
-                         "which only configure --train")
+        if args.generator != "external" and (flags := given("--exec-in", "--exec-out")):
+            parser.error(f"argument --generator: {args.generator} does not take {flags}")
+    if args.command == "value" and args.method != "tmc_shapley" and (
+            flags := given("--permutations", "--truncation-tol")):
+        parser.error(f"argument --method: {args.method} does not take {flags}")
+    if args.command == "eval-pipeline" and not args.with_baseline and given("--baseline-out"):
+        parser.error("argument --baseline-out: not allowed without --with-baseline")
+    if (args.command == "perturb-bench" and "dataiq" not in args.characterizers
+            and given("--checkpoints")):
+        parser.error(f"argument --characterizers: {','.join(args.characterizers)} "
+                     "does not take --checkpoints, which only configures dataiq")
+    if args.command == "dataiq" and args.probs_in and (
+            flags := given("--k", "--checkpoints", "--label", "--no-standardize")):
+        parser.error(f"argument --probs-in: not allowed with {flags}, "
+                     "which only configure --train")
 
 
 def _header(argv: list[str], **extras: object) -> str:

@@ -167,16 +167,15 @@ def bagged_checkpoint_probs(
             if exact.size:
                 nearest_labels = train.labels[bag[smallest_k(dist[exact[:, None], bag], k)]]
                 probs[exact, e] = (nearest_labels == train.labels[lo + exact, None]).mean(axis=1)
-        return probs, pools.min(axis=1)
+        return probs, pools.min()
 
     blocks = parallel_map(one_block, list(fixed_chunks(n, QUERY_CHUNK)), threads)
-    smallest_pool = np.min([pool for _, pool in blocks], axis=0)
-    for pool in smallest_pool:
-        if pool < k:
-            raise ValueError(
-                f"K={k} exceeds the in-bag neighbor pool after self-exclusion "
-                f"(smallest pool {pool})"
-            )
+    smallest_pool = min(pool for _, pool in blocks)
+    if smallest_pool < k:
+        raise ValueError(
+            f"K={k} exceeds the in-bag neighbor pool after self-exclusion "
+            f"(smallest pool {smallest_pool})"
+        )
     return CheckpointProbs(np.concatenate([probs for probs, _ in blocks]), train.ids)
 
 

@@ -31,11 +31,10 @@ from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from . import _io
 from ._util import fixed_chunks, parallel_map, round_half_up
-from .augment import GeneratorSpec, SyntheticBatch, targeted_batch
+from .augment import GeneratorSpec, targeted_batch
 from .dataset import Dataset
 from .neighbors import (
     QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
@@ -88,14 +87,17 @@ class CachedVote:
         self.labels = y[columns]
         self.train, self.query, self.k = train, query, k
 
-    def predict_proba(self, batch: SyntheticBatch) -> np.ndarray:
-        """Equals ``knn_predict_proba(append_batch(train, batch), query, k)``."""
-        if batch.rows.shape[1] != self.query.d:
-            raise ValueError(f"dimension mismatch: {batch.rows.shape[1]} vs {self.query.d}")
-        check_k(self.k, self.train.n + batch.m)
+    def predict_proba(self, batch: Dataset) -> np.ndarray:
+        """Equals ``knn_predict_proba(append_batch(train, batch), query, k)``.
+
+        The batch's ids are ignored, as ``append_batch`` ignores them: its
+        rows rank after every training row at equal distance, in batch order.
+        """
+        check_same_dimension(batch, self.query)
+        check_k(self.k, self.train.n + batch.n)
         out = np.empty(self.query.n)
         for lo, hi in fixed_chunks(self.query.n, QUERY_CHUNK):
-            new_dist = cdist(self.query.features[lo:hi], batch.rows)
+            new_dist = cdist(self.query.features[lo:hi], batch.features)
             dist = np.concatenate([self.dist[lo:hi], new_dist], axis=1)
             labels = np.concatenate(
                 [self.labels[lo:hi], np.broadcast_to(batch.labels, new_dist.shape)], axis=1
@@ -108,7 +110,8 @@ def auc_roc(probs: np.ndarray, labels: np.ndarray) -> float:
     """Area under the ROC curve via the Mann-Whitney rank statistic.
 
     Equals P(prob+ > prob-) + 0.5 P(tie) over positive/negative pairs;
-    average ranks make it exactly tie-aware.
+    tied probabilities share their average rank, so ties count exactly.
+    NaN probabilities are refused: they have no rank.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -119,7 +122,10 @@ def auc_roc(probs: np.ndarray, labels: np.ndarray) -> float:
     n_neg = probs.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both labels must be present")
-    ranks = rankdata(probs, method="average")
+    if np.isnan(probs).any():
+        raise ValueError("probs must not be NaN")
+    _, group, counts = np.unique(probs, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2
     return float(u / (n_pos * n_neg))
 

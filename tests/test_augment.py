@@ -7,7 +7,6 @@ from scipy.spatial.distance import cdist
 from hardshap.augment import (
     ExternalGeneratorError,
     GeneratorSpec,
-    SyntheticBatch,
     _class_allocation,
     append_batch,
     external_generate,
@@ -32,14 +31,14 @@ class TestSmote:
     def test_segment_convexity_1d(self):
         source = Dataset([[0.0], [1.0]], [1, 1], ("x",), [0, 1])
         batch = smote_generate(source, 40, k_neighbors=1, seed=0)
-        assert batch.rows.min() >= 0.0 and batch.rows.max() <= 1.0
+        assert batch.features.min() >= 0.0 and batch.features.max() <= 1.0
         assert np.all(batch.labels == 1)
 
     def test_duplicate_location_neighbors_reproduce_seed_row(self):
         # partner == base, so x + u*(partner - x) == x regardless of u
         source = Dataset([[2.0, 3.0]] * 3, [0, 0, 0], ("a", "b"), [0, 1, 2])
         batch = smote_generate(source, 10, k_neighbors=1, seed=1)
-        assert np.all(batch.rows == np.array([2.0, 3.0]))
+        assert np.all(batch.features == np.array([2.0, 3.0]))
 
     def test_class_proportions_preserved(self):
         rng = np.random.default_rng(3)
@@ -50,7 +49,7 @@ class TestSmote:
             batch = smote_generate(source, m, k_neighbors=3, seed=2)
             zeros = int((batch.labels == 0).sum())
             assert abs(zeros - 0.7 * m) < 1.0
-        assert batch.m == 100
+        assert batch.n == 100
 
     def test_rows_within_class_envelope(self):
         rng = np.random.default_rng(4)
@@ -58,7 +57,7 @@ class TestSmote:
         batch = smote_generate(source, 200, k_neighbors=4, seed=7)
         for cls in (0, 1):
             members = source.features[source.labels == cls]
-            rows = batch.rows[batch.labels == cls]
+            rows = batch.features[batch.labels == cls]
             assert np.all(rows >= members.min(axis=0) - 1e-12)
             assert np.all(rows <= members.max(axis=0) + 1e-12)
 
@@ -77,7 +76,7 @@ class TestSmote:
         source = random_dataset(rng, 40)
         a = smote_generate(source, 25, k_neighbors=3, seed=11)
         b = smote_generate(source, 25, k_neighbors=3, seed=11)
-        assert np.array_equal(a.rows, b.rows)
+        assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
 
@@ -118,7 +117,7 @@ class TestSmoteAgainstFullGraph:
             for m in (1, n // 3 + 1, 3 * n):
                 batch = smote_generate(source, m, k_neighbors=k, seed=seed + m)
                 assert np.array_equal(
-                    batch.rows, _smote_on_full_class_graph(source, m, k, seed + m)
+                    batch.features, _smote_on_full_class_graph(source, m, k, seed + m)
                 )
 
 
@@ -160,8 +159,8 @@ class TestTargetedAugment:
         spec = GeneratorSpec("smote", {"k_neighbors": 3, "seed": 5})
         batch = targeted_batch(train, scored(train), 0.25, 0.4, spec)
         out = targeted_augment(train, scored(train), 0.25, 0.4, spec)
-        assert batch.m == out.n - train.n == 12
-        assert np.array_equal(out.features[train.n:], batch.rows)
+        assert batch.n == out.n - train.n == 12
+        assert np.array_equal(out.features[train.n:], batch.features)
         assert np.array_equal(out.labels[train.n:], batch.labels)
 
     def test_bit_identical_reruns(self):
@@ -183,7 +182,7 @@ class TestExternalGenerator:
         fake = random_dataset(rng, 12, d=2)
         save_csv(fake, exec_out, "label")
         batch = external_generate(source, 10, exec_in, exec_out)
-        assert batch.m == 10
+        assert batch.n == 10
         assert exec_in.exists()
         written = load_csv(exec_in, "label")
         assert np.array_equal(written.features, source.features)
@@ -211,10 +210,10 @@ class TestExternalGenerator:
 
 
 class TestWeightedKs:
-    def batch(self, rows, labels=None):
+    def batch(self, rows):
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        labels = np.zeros(rows.shape[0], dtype=int) if labels is None else labels
-        return SyntheticBatch(rows, labels)
+        m, d = rows.shape
+        return Dataset(rows, np.zeros(m, dtype=int), tuple(f"f{j}" for j in range(d)), np.arange(m))
 
     def test_identical_samples_score_zero(self):
         rng = np.random.default_rng(15)
@@ -269,7 +268,7 @@ class TestAppendBatch:
         rng = np.random.default_rng(18)
         train = Dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0], ("a", "b"),
                         [100, 3, 7, 9, 55])
-        batch = SyntheticBatch(rng.normal(size=(3, 2)), [0, 1, 0])
+        batch = Dataset(rng.normal(size=(3, 2)), [0, 1, 0], ("a", "b"), [0, 1, 2])
         out = append_batch(train, batch)
         assert out.ids[:5].tolist() == [100, 3, 7, 9, 55]
         assert out.ids[5:].tolist() == [101, 102, 103]

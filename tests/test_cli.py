@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardshap
 from hardshap import augment, cli, evaluation, neighbors, valuation
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
@@ -163,6 +168,26 @@ def test_eval_refuses_repeated_ids(tmp_path, capsys, probs_rows, labels_rows):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: eval: ids must be unique in ")
     assert captured.out == "" and not out.exists()
+
+
+def test_eval_refuses_a_nan_probability(tmp_path, capsys):
+    probs, labels, out = tmp_path / "probs.csv", tmp_path / "labels.csv", tmp_path / "out.csv"
+    probs.write_text("id,prob\n0,0.1\n1,nan\n2,0.4\n3,0.6\n", encoding="utf-8")
+    labels.write_text("id,label\n0,0\n1,1\n2,0\n3,1\n", encoding="utf-8")
+    assert main(["eval", "--probs", str(probs), "--labels", str(labels), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: eval: probs must not be NaN\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats roughly doubles the import time and its memory
+    package_root = str(Path(hardshap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    code = "import sys, hardshap.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_perturb_bench_grid(tmp_path, blob_files):
@@ -572,6 +597,51 @@ def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, c
     assert err.splitlines()[-1] == (
         f"hardshap augment: error: argument --generator: smote does not take {given}"), err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("value", ["--permutations", "20"], None,
+     "argument --method: knn_shapley does not take --permutations"),
+    ("value", ["--method", "exact_shapley", "--truncation-tol=0"], None,
+     "argument --method: exact_shapley does not take --truncation-tol"),
+    ("value", ["--truncation-tol", "0"], "permutations=20\n",
+     "argument --method: knn_shapley does not take --permutations, --truncation-tol"),
+    ("eval-pipeline", ["--baseline-out", "base.csv"], None,
+     "argument --baseline-out: not allowed without --with-baseline"),
+    ("eval-pipeline", [], "with_baseline=no\nbaseline_out=base.csv\n",
+     "argument --baseline-out: not allowed without --with-baseline"),
+    ("perturb-bench", ["--characterizers", "knn_shapley,random", "--checkpoints", "4"], None,
+     "argument --characterizers: knn_shapley,random does not take --checkpoints, "
+     "which only configures dataiq"),
+    ("perturb-bench", ["--characterizers=random"], "checkpoints=4\n",
+     "argument --characterizers: random does not take --checkpoints, "
+     "which only configures dataiq"),
+], ids=["value-flag", "value-method", "value-config", "eval-pipeline-flag",
+        "eval-pipeline-config", "perturb-bench-flag", "perturb-bench-config"])
+def test_flags_of_a_mode_that_is_not_selected_are_refused(tmp_path, monkeypatch, capsys,
+                                                          command, flags, config, message):
+    # they would be ignored, yet logged in the output header
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        flags = [*flags, "--config", "run.cfg"]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *_REQUIRED[command], "out.csv", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hardshap {command} ")
+    assert err.splitlines()[-1] == f"hardshap {command}: error: {message}", err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_baseline_out_is_taken_with_the_baseline_arm(tmp_path, blob_files):
+    (tmp_path / "run.cfg").write_text("with_baseline=yes\n", encoding="utf-8")
+    out, base = tmp_path / "report.csv", tmp_path / "base.csv"
+    assert main(["eval-pipeline", "--train", blob_files["train"],
+                 "--valid", blob_files["valid"], "--test", blob_files["test"],
+                 "--tau", "0.2", "--amount", "1.0", "--generator", "smote",
+                 "--replicates", "2", "--config", str(tmp_path / "run.cfg"),
+                 "--baseline-out", str(base), "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.csv", "report.csv", "run.cfg"]
 
 
 @pytest.mark.parametrize("command", ["rank", "augment", "removal-curve"])

@@ -17,6 +17,7 @@ from hardshap.dataiq import (
 )
 from hardshap.dataset import Dataset
 from hardshap.neighbors import QUERY_CHUNK, smallest_k
+from hardshap.sim import BlobConfig, gen_blobs
 
 
 def probs(rows):
@@ -156,6 +157,14 @@ class TestBaggedCheckpoints:
     def test_k_above_the_row_count_reports_the_pool(self):
         with pytest.raises(ValueError, match=r"K=7 exceeds .* \(smallest pool \d\)"):
             bagged_checkpoint_probs(two_blobs(3), n_checkpoints=2, k=7, seed=0)
+
+    def test_pool_error_names_the_smallest_pool_over_every_checkpoint(self):
+        # the first checkpoint's smallest pool is not the smallest overall
+        train = gen_blobs(BlobConfig(n_train=12, n_valid=4, n_test=4, seed=0))[0]
+        pools = [train.n - int(np.bincount(bag).max()) for bag in bags_of(12, 0, 3)]
+        assert pools == [10, 9, 10]
+        with pytest.raises(ValueError, match=r"K=11 exceeds .* \(smallest pool 9\)$"):
+            bagged_checkpoint_probs(train, n_checkpoints=3, k=11, seed=0)
 
     def test_blocked_distances_match_full_matrix(self, monkeypatch):
         # three distance blocks, with K on both sides of the 32-row neighbour

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardshap.augment import SyntheticBatch
+from hardshap.augment import append_batch
 from hardshap.dataiq import CheckpointProbs
 from hardshap.dataset import Dataset, SplitSpec, load_csv, save_csv, standardize, stratified_split
 from hardshap.perturb import PerturbationRecord
@@ -44,7 +44,9 @@ class TestDatasetType:
         (lambda a: ValuationScores(a["s"], a["i"], "tmc_shapley", {}),
          {"scores": np.float64, "ids": np.int64}),
         (lambda a: CheckpointProbs(a["p"], a["i"]), {"probs": np.float64, "ids": np.int64}),
-        (lambda a: SyntheticBatch(a["x"], a["y"]), {"rows": np.float64, "labels": np.int64}),
+        (lambda a: append_batch(Dataset(a["x"], a["y"], ("a",), a["i"]),
+                                Dataset(a["x"], a["y"], ("a",), a["i"])),
+         {"features": np.float64, "labels": np.int64, "ids": np.int64}),
         (lambda a: PerturbationRecord(a["f"], "ood", 0.5, 0), {"flags": np.bool_}),
     ])
     def test_records_hold_read_only_copies(self, build, fields):

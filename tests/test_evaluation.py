@@ -12,7 +12,6 @@ from hardshap import evaluation, neighbors
 from hardshap._util import round_half_up
 from hardshap.augment import (
     GeneratorSpec,
-    SyntheticBatch,
     append_batch,
     targeted_augment,
     targeted_batch,
@@ -79,6 +78,25 @@ class TestAucRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both labels"):
             auc_roc([0.1, 0.9], [1, 1])
+
+    def test_nan_probability_rejected(self):
+        # a NaN has no rank, so it would make the whole AUC nan
+        with pytest.raises(ValueError, match="probs must not be NaN"):
+            auc_roc([0.1, float("nan"), 0.8, 0.9], [0, 0, 1, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_exact_pairwise_count(self, seed):
+        # few distinct values, so ties are common; -0.0 ties with 0.0
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        probs = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0, 1e-300], size=n)
+        labels = rng.integers(0, 2, n)
+        labels[:2] = 0, 1
+        pos, neg = probs[labels == 1], probs[labels == 0]
+        wins = int((pos[:, None] > neg[None, :]).sum())
+        ties = int((pos[:, None] == neg[None, :]).sum())
+        assert auc_roc(probs, labels) == float(Fraction(2 * wins + ties, 2 * pos.size * neg.size))
 
     @settings(max_examples=60)
     @given(st.integers(0, 10_000))
@@ -224,7 +242,7 @@ def _tied_batch(rng, train, valid, m):
     reflect = rng.integers(0, 2, m) == 1
     centres = valid.features[rng.integers(0, valid.n, m)]
     rows[reflect] = 2 * centres[reflect] - rows[reflect]
-    return SyntheticBatch(rows, rng.integers(0, 2, m))
+    return Dataset(rows, rng.integers(0, 2, m), train.feature_names, np.arange(m))
 
 
 class TestCachedVote:
@@ -271,7 +289,7 @@ class TestCachedVote:
         vote = CachedVote(train, _lattice(rng, 5, 2), 3)
         for d in (1, 3):
             with pytest.raises(ValueError, match=f"dimension mismatch: {d} vs 2"):
-                vote.predict_proba(SyntheticBatch(rng.normal(size=(4, d)), [0, 1, 0, 1]))
+                vote.predict_proba(_lattice(rng, 4, d))
 
 
 def _hard_rows(tau, n):
