@@ -190,8 +190,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--fractions", default="0,0.05,0.1,0.2", type=_checked(
         _comma_floats, lambda fs: bool(fs) and all(0.0 <= f < 1.0 for f in fs)
         and list(fs) == sorted(fs), "a non-empty ascending list in [0, 1)", "fractions"))
-    p.add_argument("--strategies", type=_subset_of(("hardest", "random"), "strategies"),
-                   default="hardest,random")
+    p.add_argument("--strategies", type=_subset_of(evaluation.STRATEGIES, "strategies"),
+                   default=",".join(evaluation.STRATEGIES))
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
                    default=evaluation.DOWNSTREAM_K)
     p.add_argument("--no-standardize", action="store_true")
@@ -282,6 +282,9 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
             parser.error("argument --generator: external needs --exec-in and --exec-out")
         if args.generator != "external" and (flags := given("--exec-in", "--exec-out")):
             parser.error(f"argument --generator: {args.generator} does not take {flags}")
+        if args.generator == "external" and given("--k"):
+            parser.error("argument --generator: external does not take --k, "
+                         "which only configures smote")
     if args.command == "value" and args.method != "tmc_shapley" and (
             flags := given("--permutations", "--truncation-tol")):
         parser.error(f"argument --method: {args.method} does not take {flags}")
@@ -291,6 +294,10 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
             and given("--checkpoints")):
         parser.error(f"argument --characterizers: {','.join(args.characterizers)} "
                      "does not take --checkpoints, which only configures dataiq")
+    if (args.command == "perturb-bench" and not set(perturb.TAKES_K) & set(args.characterizers)
+            and given("--k")):
+        parser.error(f"argument --characterizers: {','.join(args.characterizers)} "
+                     f"does not take --k, which only configures {','.join(perturb.TAKES_K)}")
     if args.command == "dataiq" and args.probs_in and (
             flags := given("--k", "--checkpoints", "--label", "--no-standardize")):
         parser.error(f"argument --probs-in: not allowed with {flags}, "
@@ -446,12 +453,13 @@ def _cmd_removal_curve(args: argparse.Namespace, argv: list[str]) -> int:
     train, valid = _load(args.label, args.no_standardize, args.train, args.valid)
     scores = valuation.load_scores_csv(args.scores)
     # every curve is computed before --out is opened, so a failure writes no file
+    curves = evaluation.removal_curve(
+        train, valid, scores, args.fractions, args.strategies, args.seed, args.downstream_k
+    )
     rows = [
         (strategy, fraction, g)
-        for strategy in args.strategies
-        for fraction, g in evaluation.removal_curve(
-            train, valid, scores, args.fractions, strategy, args.seed, args.downstream_k
-        )
+        for strategy, curve in zip(args.strategies, curves)
+        for fraction, g in curve
     ]
     _io.write_csv(args.out, ["strategy", "fraction", "gini"], rows,
                   [_header(argv, seed=args.seed)], newline="\n")

@@ -38,10 +38,12 @@ from .augment import GeneratorSpec, targeted_batch
 from .dataset import Dataset
 from .neighbors import (
     QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
+    top_k_blocks,
 )
 from .valuation import ValuationScores, check_aligned, rank_by_hardness
 
 DOWNSTREAM_K = 15
+STRATEGIES = ("hardest", "random")  # removal orders: by ascending score, or seeded uniform
 
 
 @dataclass(frozen=True)
@@ -173,52 +175,75 @@ def removal_curve(
     valid: Dataset,
     scores: ValuationScores,
     fractions: Sequence[float],
-    strategy: str = "hardest",
+    strategy: str | Sequence[str] = "hardest",
     seed: int = 0,
     k: int = DOWNSTREAM_K,
-) -> list[tuple[float, float]]:
+) -> list[tuple[float, float]] | list[list[tuple[float, float]]]:
     """Validation Gini after dropping a growing share of training points.
 
     strategy 'hardest' removes by ascending score; 'random' removes a
     seeded uniform subset of the same size, giving the null arm the curve
-    is compared against.
+    is compared against. A sequence of strategies gives one curve per
+    strategy, in order, checked and refused as by one call per strategy.
 
-    Each point equals ``knn_predict_proba`` refitted on the rows kept: the
-    distances are computed once per block of valid rows, and each fraction
-    sets its dropped columns to ``inf`` (the dropped sets are nested), which
-    is faster than a ``k_nearest`` per fraction over the kept rows.
+    Each point equals ``knn_predict_proba`` refitted on the rows kept. Each
+    ``top_k_blocks`` block of valid-to-train distances is computed once for
+    every strategy and fraction. Each fraction sets its dropped columns to
+    ``inf``, which is faster than a ``k_nearest`` per fraction over the kept
+    rows. Dropped sets nest within a strategy only, so each strategy masks
+    its own copy, and the points that drop no row (fraction 0) are voted
+    once for all strategies.
     """
-    if strategy not in ("hardest", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    strategies = [strategy] if isinstance(strategy, str) else list(strategy)
     fractions = list(fractions)
+    X, y, order = id_sorted_view(train)
+    dropped = [_dropped_columns(train, valid, scores, fractions, name, seed, k, order)
+               for name in strategies]
+    probs = np.empty((len(strategies), len(fractions), valid.n))
+    for lo, hi in top_k_blocks(valid.n, train.n):
+        dist = cdist(valid.features[lo:hi], X)
+        # A kept pair can overflow to inf; capping keeps it ahead of the masked ones.
+        np.minimum(dist, np.finfo(np.float64).max, out=dist)
+        full = None  # the vote over every row
+        for c, curve in enumerate(dropped):
+            masked = dist if c == len(dropped) - 1 else dist.copy()
+            for f, columns in enumerate(curve):
+                if columns.size:
+                    masked[:, columns] = np.inf
+                    probs[c, f, lo:hi] = y[smallest_k(masked, k)].mean(axis=1)
+                    continue
+                if full is None:  # nothing is masked yet: drop counts grow with the fraction
+                    full = y[smallest_k(masked, k)].mean(axis=1)
+                probs[c, f, lo:hi] = full
+    curves = [[(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, curve)]
+              for curve in probs]
+    return curves[0] if isinstance(strategy, str) else curves
+
+
+def _dropped_columns(
+    train: Dataset, valid: Dataset, scores: ValuationScores, fractions: list[float],
+    strategy: str, seed: int, k: int, order: np.ndarray,
+) -> list[np.ndarray]:
+    """Per fraction, the id-sorted columns that ``strategy`` drops, each drop checked."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if any(not 0.0 <= f < 1.0 for f in fractions) or sorted(fractions) != fractions:
         raise ValueError("fractions must be ascending and lie in [0, 1)")
     check_aligned(scores, train)
     check_same_dimension(train, valid)
-    hardness_order = rank_by_hardness(scores)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    shuffled_ids = train.ids[rng.permutation(train.n)]
-    X, y, order = id_sorted_view(train)
+    if strategy == "hardest":
+        ranked = rank_by_hardness(scores)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        ranked = train.ids[rng.permutation(train.n)]
     dropped = []
     for fraction in fractions:
-        drop = round_half_up(fraction * train.n)
-        doomed = hardness_order[:drop] if strategy == "hardest" else shuffled_ids[:drop]
-        keep_mask = ~np.isin(train.ids, doomed)
+        keep_mask = ~np.isin(train.ids, ranked[:round_half_up(fraction * train.n)])
         if np.unique(train.labels[keep_mask]).size < 2:
             raise ValueError(f"removing {fraction:.0%} leaves a single-class training set")
         check_k(k, int(keep_mask.sum()))
         dropped.append(np.flatnonzero(~keep_mask[order]))
-    if not dropped:
-        return []
-    probs = np.empty((len(fractions), valid.n))
-    for lo, hi in fixed_chunks(valid.n, QUERY_CHUNK):
-        dist = cdist(valid.features[lo:hi], X)
-        # A kept pair can overflow to inf; capping keeps it ahead of the masked ones.
-        np.minimum(dist, np.finfo(np.float64).max, out=dist)
-        for f, columns in enumerate(dropped):
-            dist[:, columns] = np.inf
-            probs[f, lo:hi] = y[smallest_k(dist, k)].mean(axis=1)
-    return [(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, probs)]
+    return dropped
 
 
 def save_metric_report_csv(

@@ -21,7 +21,10 @@ keeping the cut where a stable sort puts it.
 ``k_nearest``, the one top-K query, serves SMOTE, the downstream KNN vote
 and the ``CachedVote`` build. Data-IQ, the exact recursion and
 ``removal_curve`` keep their own ``cdist`` blocks: each uses more of a block
-than its top K.
+than its top K. ``k_nearest`` and ``removal_curve`` size their blocks by
+cells, ``top_k_blocks``: about TOP_K_CELLS distances (1 MB) per block, so
+the block and ``argpartition``'s index array stay cache-sized as n grows.
+Rows are independent, so the block size never changes a result.
 
 Distances must not be NaN; ``inf`` (a masked-out pair) is allowed.
 """
@@ -35,6 +38,7 @@ from ._util import fixed_chunks, parallel_map
 from .dataset import Dataset
 
 QUERY_CHUNK = 256
+TOP_K_CELLS = 1 << 17  # distances per top-K block: 1 MB of float64
 ORDER_ROWS = 8  # rows per stable_order call in the exact recursion
 
 
@@ -107,6 +111,11 @@ def rank_all(train_features: np.ndarray, query: np.ndarray) -> np.ndarray:
     return stable_order(cdist(query, train_features))
 
 
+def top_k_blocks(n_query: int, n_train: int) -> list[tuple[int, int]]:
+    """Query-row blocks of about TOP_K_CELLS distances each, whatever the thread count."""
+    return list(fixed_chunks(n_query, max(1, TOP_K_CELLS // n_train)))
+
+
 def check_k(k: int, n: int) -> None:
     """Refuse a K that is not in 1..n for n training rows."""
     if not 1 <= k <= n:
@@ -119,8 +128,8 @@ def k_nearest(
     """(columns, distances) of the k nearest training rows per query row, tie-stable.
 
     Columns go by (distance, column); distances are their ``cdist`` values.
-    Query rows go QUERY_CHUNK at a time, in blocks that do not depend on
-    ``threads``, so memory stays linear in the training size.
+    Query rows go in ``top_k_blocks``, which do not depend on ``threads``,
+    so each block's memory stays near TOP_K_CELLS values as n grows.
     """
     check_k(k, train_features.shape[0])
     columns = np.empty((query.shape[0], k), dtype=np.intp)
@@ -132,5 +141,5 @@ def k_nearest(
         columns[lo:hi] = smallest_k(dist, k)
         distances[lo:hi] = np.take_along_axis(dist, columns[lo:hi], axis=1)
 
-    parallel_map(run, list(fixed_chunks(query.shape[0], QUERY_CHUNK)), threads)
+    parallel_map(run, top_k_blocks(query.shape[0], train_features.shape[0]), threads)
     return columns, distances

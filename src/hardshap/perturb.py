@@ -23,6 +23,7 @@ from .valuation import knn_shapley
 
 KINDS = ("mislabeling", "ood", "atypical")
 CHARACTERIZERS = ("knn_shapley", "dataiq", "random")
+TAKES_K = ("knn_shapley", "dataiq")  # the characterizers that read k
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import ast
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -30,7 +30,7 @@ from .neighbors import rank_all, stable_order
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
 
 EXACT_MAX_POINTS = 16
-SUM_COLUMNS = 1024
+PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer runs in two
 
 
 @dataclass(frozen=True)
@@ -69,21 +69,21 @@ def _recursion_weights(n: int, k: int) -> np.ndarray:
     return np.minimum(k, ranks) / (ranks * k)
 
 
-def _contributions_block(
+def _contribution_rows(
     X: np.ndarray,
     y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
     k: int,
     weights: np.ndarray,
-) -> np.ndarray:
-    """Per-test contribution rows for one block of test points, shape (block, n).
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per test row: (train columns by distance, their contributions in that order).
 
     X/y must be id-sorted so the (distance, column) order breaks ties by
-    ascending id. Output columns follow the id-sorted train order.
+    ascending id; the columns index that id-sorted order. The contributions
+    come in one buffer, which the next row overwrites.
     """
     n = X.shape[0]
-    out = np.empty((test_X.shape[0], n))
     # Base case min(K,n)/(nK) instead of the usual 1/n keeps the recursion
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
@@ -100,32 +100,74 @@ def _contributions_block(
             np.multiply(np.subtract(match[:-1], match[1:], out=step), weights, out=delta)
             np.cumsum(delta[::-1], out=s[: n - 1][::-1])
             s[: n - 1] += s[n - 1]
-            out[r][idx] = s
-    return out
+            yield idx, s
 
 
-def _train_sums(block: np.ndarray) -> np.ndarray:
-    """Each train column's sum over a (block, n) contribution block.
+def _contribution_block(rows: Iterator[tuple[np.ndarray, np.ndarray]], count: int,
+                        n: int) -> np.ndarray:
+    """The next ``count`` contribution rows as a (count, n) block in train column order."""
+    block = np.empty((count, n))
+    for out, (idx, s) in zip(block, rows):
+        out[idx] = s
+    return block
 
-    Sums each column of a C-order transposed copy with ``sum(axis=1)``,
-    numpy's pairwise order along a contiguous row, which is how the sums of
-    an (n, block) layout are taken, bit for bit. The copy is made
-    SUM_COLUMNS columns at a time, never of the whole block.
+
+def _train_sum(rows: Iterator[tuple[np.ndarray, np.ndarray]], count: int, n: int) -> np.ndarray:
+    """Each train column's sum over the next ``count`` contribution rows, no block built.
+
+    Bit-equal to ``sum(axis=1)`` over each column of the (count, n) block
+    copied to a contiguous row: numpy's pairwise sum, mirrored over rows as
+    they come. Each row is scattered into one train-order buffer, then added
+    to its lane with a contiguous ``+=``.
     """
-    sums = np.empty(block.shape[1])
-    for lo, hi in fixed_chunks(block.shape[1], SUM_COLUMNS):
-        sums[lo:hi] = np.ascontiguousarray(block[:, lo:hi].T).sum(axis=1)
-    return sums
+    buffer = np.empty(n)
+
+    def scattered() -> Iterator[np.ndarray]:
+        for idx, s in rows:
+            buffer[idx] = s
+            yield buffer
+
+    total = _pairwise_sum(scattered(), count, np.empty((8, n)))
+    total += 0.0  # numpy adds the pairwise sum to a 0.0 start: -0.0 becomes 0.0
+    return total
 
 
-def _block_pass(
-    train: Dataset, test: Dataset, k: int, threads: int, reduce: Callable, combine: Callable
-) -> np.ndarray:
-    """The recursion over blocks of QUERY_CHUNK test rows, scattered to train row order.
+def _pairwise_sum(rows: Iterator[np.ndarray], count: int, lanes: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the next ``count`` rows, elementwise.
 
-    ``reduce`` maps each (block, n) contribution block to what is kept of
-    it; ``combine`` joins the kept parts, in block order, into an array whose
-    first axis follows the id-sorted train rows.
+    Fewer than 8 rows are summed in order from 0.0. Up to PAIRWISE_BLOCK
+    rows: 8 lanes seeded by the first 8 rows, each later row added to lane
+    i % 8, then ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) and the count % 8
+    leftover rows in order. Longer runs split at half the count, rounded
+    down to a multiple of 8, and add the halves' sums.
+    """
+    if count < 8:
+        total = np.zeros(lanes.shape[1])
+        for _ in range(count):
+            total += next(rows)
+        return total
+    if count > PAIRWISE_BLOCK:
+        half = count // 2 - count // 2 % 8
+        total = _pairwise_sum(rows, half, lanes)
+        total += _pairwise_sum(rows, count - half, lanes)
+        return total
+    for lane in lanes:
+        lane[...] = next(rows)
+    for i in range(8, count - count % 8):
+        lanes[i % 8] += next(rows)
+    lanes[0::2] += lanes[1::2]  # l0+l1, l2+l3, l4+l5, l6+l7
+    lanes[0::4] += lanes[2::4]  # (l0+l1)+(l2+l3), (l4+l5)+(l6+l7)
+    total = lanes[0] + lanes[4]
+    for _ in range(count % 8):
+        total += next(rows)
+    return total
+
+
+def _block_pass(train: Dataset, test: Dataset, k: int, threads: int,
+                reduce: Callable) -> tuple[list, np.ndarray]:
+    """``reduce(rows, count, n)`` of each block of QUERY_CHUNK test rows, in block order.
+
+    Also returns the train row position of each id-sorted column.
     """
     _check_valuation_inputs(train, test, k)
     X, y, orig_pos = id_sorted_view(train)
@@ -133,13 +175,10 @@ def _block_pass(
 
     def run(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        part = _contributions_block(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-        return reduce(part)
+        rows = _contribution_rows(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
+        return reduce(rows, hi - lo, train.n)
 
-    sorted_values = combine(parallel_map(run, list(fixed_chunks(test.n, QUERY_CHUNK)), threads))
-    values = np.empty(sorted_values.shape)
-    values[orig_pos] = sorted_values
-    return values
+    return parallel_map(run, list(fixed_chunks(test.n, QUERY_CHUNK)), threads), orig_pos
 
 
 def knn_shapley_contributions(
@@ -150,18 +189,23 @@ def knn_shapley_contributions(
     Column j holds every training point's contribution for test point j;
     averaging columns gives the final scores. Rows follow train row order.
     """
-    return _block_pass(train, test, k, threads, lambda part: part,
-                       lambda parts: np.concatenate(parts).T)
+    blocks, orig_pos = _block_pass(train, test, k, threads, _contribution_block)
+    values = np.empty((train.n, test.n))
+    values[orig_pos] = np.concatenate(blocks).T
+    return values
 
 
 def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> ValuationScores:
     """Exact KNN Shapley score per training point: mean per-test contribution.
 
     Runs in O(n (d + log n)) per test point and is deterministic for any
-    thread count (blocks are reduced in a fixed order).
+    thread count: each block of QUERY_CHUNK test rows gives one train-length
+    sum, and the block sums are added in block order. Memory is a few
+    train-length rows per thread, never a (QUERY_CHUNK, n) block.
     """
-    scores = _block_pass(train, test, k, threads, _train_sums,
-                         lambda totals: sum(totals, np.zeros(train.n)) / test.n)
+    sums, orig_pos = _block_pass(train, test, k, threads, _train_sum)
+    scores = np.empty(train.n)
+    scores[orig_pos] = sum(sums, np.zeros(train.n)) / test.n
     return ValuationScores(scores, train.ids, "knn_shapley", {"k": k})
 
 

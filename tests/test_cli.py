@@ -616,8 +616,20 @@ def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, c
     ("perturb-bench", ["--characterizers=random"], "checkpoints=4\n",
      "argument --characterizers: random does not take --checkpoints, "
      "which only configures dataiq"),
+    ("augment", ["--generator", "external", "--exec-in", "hard.csv", "--exec-out", "synth.csv",
+                 "--k", "9"], None,
+     "argument --generator: external does not take --k, which only configures smote"),
+    ("augment", ["--generator=external", "--exec-in=hard.csv", "--exec-out=synth.csv"], "k=9\n",
+     "argument --generator: external does not take --k, which only configures smote"),
+    ("perturb-bench", ["--characterizers", "random", "--k", "9"], None,
+     "argument --characterizers: random does not take --k, "
+     "which only configures knn_shapley,dataiq"),
+    ("perturb-bench", ["--characterizers=random"], "k=9\n",
+     "argument --characterizers: random does not take --k, "
+     "which only configures knn_shapley,dataiq"),
 ], ids=["value-flag", "value-method", "value-config", "eval-pipeline-flag",
-        "eval-pipeline-config", "perturb-bench-flag", "perturb-bench-config"])
+        "eval-pipeline-config", "perturb-bench-flag", "perturb-bench-config",
+        "augment-k-flag", "augment-k-config", "perturb-bench-k-flag", "perturb-bench-k-config"])
 def test_flags_of_a_mode_that_is_not_selected_are_refused(tmp_path, monkeypatch, capsys,
                                                           command, flags, config, message):
     # they would be ignored, yet logged in the output header
@@ -631,6 +643,17 @@ def test_flags_of_a_mode_that_is_not_selected_are_refused(tmp_path, monkeypatch,
     assert err.startswith(f"usage: hardshap {command} ")
     assert err.splitlines()[-1] == f"hardshap {command}: error: {message}", err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("characterizers, extra", [
+    ("knn_shapley,random", []), ("dataiq", ["--checkpoints", "2"])])
+def test_perturb_bench_takes_k_when_a_characterizer_reads_it(tmp_path, blob_files,
+                                                             characterizers, extra):
+    out = tmp_path / "bench.csv"
+    assert main(["perturb-bench", "--train", blob_files["train"], "--kinds", "mislabeling",
+                 "--proportions", "0.1", "--runs", "1", "--characterizers", characterizers,
+                 "--k", "3", *extra, "--out", str(out)]) == 0
+    assert " --k 3 " in out.read_text().splitlines()[0]
 
 
 def test_baseline_out_is_taken_with_the_baseline_arm(tmp_path, blob_files):

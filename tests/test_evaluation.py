@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 from unittest import mock
@@ -258,9 +259,10 @@ class TestCachedVote:
         batch = _tied_batch(rng, train, valid, int(rng.integers(1, 30)))
         augmented = append_batch(train, batch)
         k = int(rng.integers(1, augmented.n + 1))
-        # the cache is built in neighbors' blocks and voted in evaluation's
+        # the cache is built in blocks of `chunk` rows by k_nearest, and voted
+        # in blocks of `chunk` rows by CachedVote
         with mock.patch.object(evaluation, "QUERY_CHUNK", chunk), \
-                mock.patch.object(neighbors, "QUERY_CHUNK", chunk):
+                mock.patch.object(neighbors, "TOP_K_CELLS", chunk * train.n):
             cached = CachedVote(train, valid, k, threads=2).predict_proba(batch)
             refit = knn_predict_proba(augmented, valid, k)
         assert cached.tobytes() == refit.tobytes()
@@ -416,6 +418,63 @@ class TestRemovalCurve:
         curve = removal_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
         assert curve == _refit_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
         assert curve == [(0.0, -1.0), (0.2, 0.0)]
+
+    @pytest.mark.parametrize("fractions", [[0.0, 0.1, 0.3], [0.1, 0.2], [0.0], [0.001, 0.2]])
+    def test_strategies_in_one_call_match_one_call_each(self, data, fractions):
+        train, valid, scores = data
+        strategies = ["random", "hardest", "random"]
+        assert removal_curve(train, valid, scores, fractions, strategies, 5, 7) == [
+            removal_curve(train, valid, scores, fractions, strategy, 5, 7)
+            for strategy in strategies]
+        assert removal_curve(train, valid, scores, fractions, [], 5, 7) == []
+
+    def test_strategies_are_checked_as_one_call_each(self, data):
+        train, valid, scores = data
+        # hardest fails at its second fraction before random, or the later strategy, is checked
+        single_class = ValuationScores(np.where(train.labels == 1, -1.0, 1.0), train.ids,
+                                       "tmc_shapley", {})
+        share = (train.labels == 1).mean()
+        with pytest.raises(ValueError, match="single-class"):
+            removal_curve(train, valid, single_class, [0.0, share, share + 0.01],
+                          ["hardest", "easiest"], 0)
+        with pytest.raises(ValueError, match="unknown strategy 'easiest'"):
+            removal_curve(train, valid, scores, [0.1, 0.2], ["hardest", "easiest"], 0)
+        # within one strategy, the strategy is checked before the fractions
+        with pytest.raises(ValueError, match="unknown strategy 'easiest'"):
+            removal_curve(train, valid, scores, [0.2, 0.1], ["easiest", "hardest"], 0)
+        with pytest.raises(ValueError, match="ascending"):
+            removal_curve(train, valid, scores, [0.2, 0.1], ["hardest", "easiest"], 0)
+
+    @pytest.mark.parametrize("cells", [1, 3, 401, 4000])
+    def test_block_size_does_not_change_the_curve(self, cells, monkeypatch):
+        # lattice ties: the id tie-break decides the neighbours at every fraction
+        rng = np.random.default_rng(cells)
+        X = rng.integers(0, 3, size=(200, 2)).astype(float)
+        train = Dataset(X, (X.sum(axis=1) + rng.integers(0, 2, 200)) % 2, ("a", "b"),
+                        rng.permutation(900)[:200])
+        valid = Dataset(rng.integers(0, 3, size=(37, 2)).astype(float), np.arange(37) % 2,
+                        ("a", "b"), np.arange(37))
+        scores = ValuationScores(rng.integers(0, 5, 200) / 4.0, train.ids, "tmc_shapley", {})
+        fractions, strategies = [0.0, 0.1, 0.25], ["hardest", "random"]
+        expected = removal_curve(train, valid, scores, fractions, strategies, 2, 9)
+        monkeypatch.setattr(neighbors, "TOP_K_CELLS", cells)  # 1, 1, 2 or 20 rows a block
+        assert removal_curve(train, valid, scores, fractions, strategies, 2, 9) == expected
+        assert expected == [_refit_curve(train, valid, scores, fractions, strategy, 2, 9)
+                            for strategy in strategies]
+
+    def test_memory_stays_far_below_one_query_block(self):
+        # one (QUERY_CHUNK, n) float64 distance block is 16 MB here, and
+        # argpartition's index array as much again
+        rng = np.random.default_rng(6)
+        train, valid = random_dataset(rng, 8000), random_dataset(rng, QUERY_CHUNK)
+        scores = ValuationScores(rng.uniform(-1, 1, train.n), train.ids, "tmc_shapley", {})
+        tracemalloc.start()
+        try:
+            removal_curve(train, valid, scores, [0.0, 0.1, 0.2], ["hardest", "random"], 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < QUERY_CHUNK * train.n * 8 / 3, peak
 
     def test_errors_in_fraction_order(self, data):
         train, valid, scores = data

@@ -137,10 +137,11 @@ class TestStableOrder:
 
 
 class TestKNearest:
-    def test_matches_ranking_across_chunks(self):
+    def test_matches_ranking_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(neighbors, "TOP_K_CELLS", 64 * 60)  # 64 rows a block: 10 blocks
         rng = np.random.default_rng(3)
         train = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
-        query = rng.integers(0, 3, size=(600, 2)).astype(np.float64)  # > one chunk
+        query = rng.integers(0, 3, size=(600, 2)).astype(np.float64)
         expected = rank_all(train, query)[:, :7]
         assert np.array_equal(k_nearest(train, query, 7)[0], expected)
 
@@ -152,13 +153,34 @@ class TestKNearest:
         assert distances.tobytes() == expected.tobytes()
 
     def test_thread_count_does_not_change_the_result(self, monkeypatch):
-        monkeypatch.setattr(neighbors, "QUERY_CHUNK", 16)  # 7 blocks
+        monkeypatch.setattr(neighbors, "TOP_K_CELLS", 16 * 50)  # 16 rows a block: 7 blocks
         rng = np.random.default_rng(6)
         train = rng.integers(0, 4, size=(50, 2)).astype(np.float64)  # heavy ties
         query = rng.integers(0, 4, size=(100, 2)).astype(np.float64)
         one, four = k_nearest(train, query, 12, threads=1), k_nearest(train, query, 12, threads=4)
         for a, b in zip(one, four):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_block_size_does_not_change_the_result(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        train = rng.integers(0, 4, size=(70, 3)).astype(np.float64)  # heavy ties
+        query = rng.integers(0, 4, size=(45, 3)).astype(np.float64)
+        expected = k_nearest(train, query, 9)
+        assert neighbors.top_k_blocks(45, 70) == [(0, 45)]
+        # 1, 69 and 75 cells give one row a block, 300 cells four rows
+        for cells in (1, 69, 75, 300):
+            monkeypatch.setattr(neighbors, "TOP_K_CELLS", cells)
+            blocks = neighbors.top_k_blocks(45, 70)
+            assert {hi - lo for lo, hi in blocks[:-1]} <= {max(1, cells // 70)}
+            for threads in (1, 3):
+                for a, b in zip(k_nearest(train, query, 9, threads=threads), expected):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cells, threads)
+
+    def test_blocks_hold_about_top_k_cells_distances(self):
+        assert neighbors.top_k_blocks(1000, 20000) == [
+            (lo, min(lo + 6, 1000)) for lo in range(0, 1000, 6)]  # 2**17 // 20000 rows
+        assert neighbors.top_k_blocks(10, 1 << 20) == [(i, i + 1) for i in range(10)]
+        assert neighbors.top_k_blocks(0, 50) == []
 
     def test_empty_query(self):
         columns, distances = k_nearest(np.zeros((4, 2)), np.empty((0, 2)), 3, threads=2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from hardshap._util import hard_count
 from hardshap.dataset import Dataset
+from hardshap.neighbors import QUERY_CHUNK
 from hardshap.valuation import (
+    _train_sum,
     ValuationScores,
     exact_data_shapley,
     hardest_subset,
@@ -110,6 +114,75 @@ class TestKnnShapley:
     def test_k_must_be_positive(self, toy_train, toy_test):
         with pytest.raises(ValueError, match="positive"):
             knn_shapley(toy_train, toy_test, 0)
+
+
+def _train_sums(block):
+    """Each column's sum over a (rows, n) block, summed along a contiguous copy.
+
+    The oracle for the streamed sums: ``sum(axis=1)`` over the C-order
+    transpose is numpy's pairwise order along each column.
+    """
+    return np.ascontiguousarray(block.T).sum(axis=1)
+
+
+def _streamed_sums(block, rng):
+    """_train_sum over the block's rows, each fed as a shuffled (columns, values) pair."""
+    count, n = block.shape
+    orders = [rng.permutation(n) for _ in range(count)]
+    return _train_sum(((idx, row[idx]) for idx, row in zip(orders, block)), count, n)
+
+
+def _mixed_block(rng, count, n, zero_share):
+    """Scales from 1e-300 to 1e300, with +0.0, -0.0 and all-zero columns; never inf."""
+    block = rng.uniform(-5.0, 5.0, (count, n)) * 10.0 ** rng.integers(-300, 301, (count, n))
+    zeros = rng.random((count, n)) < zero_share
+    block[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    block[:, :1] = -0.0
+    block[:, 1:2] = 0.0
+    return block
+
+
+class TestStreamedTrainSums:
+    """knn_shapley's train sums, taken row by row, against numpy's own column sums.
+
+    A change to numpy's pairwise summation order fails here by name, before
+    it moves any score's bits.
+    """
+
+    def test_every_row_count_up_to_300(self):
+        # < 8 rows is a plain loop, 8..128 the lanes, > 128 a split; odd counts leave leftovers
+        rng = np.random.default_rng(0)
+        for count in range(1, 301):
+            block = _mixed_block(rng, count, 6, 0.2)
+            assert _streamed_sums(block, rng).tobytes() == _train_sums(block).tobytes(), count
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_column_sums(self, count, n, zero_share, seed):
+        rng = np.random.default_rng(seed)
+        block = _mixed_block(rng, count, n + 2, zero_share)
+        assert _streamed_sums(block, rng).tobytes() == _train_sums(block).tobytes()
+
+    def test_scores_match_the_summed_contribution_block(self):
+        rng = np.random.default_rng(21)
+        train = random_dataset(rng, 120, d=2, ids=rng.permutation(500)[:120])
+        test = random_dataset(rng, 2 * QUERY_CHUNK + 9, d=2)
+        contrib = knn_shapley_contributions(train, test, 4)
+        blocks = [contrib[:, lo:lo + QUERY_CHUNK].T for lo in range(0, test.n, QUERY_CHUNK)]
+        expected = sum((_train_sums(b) for b in blocks), np.zeros(train.n)) / test.n
+        assert knn_shapley(train, test, 4).scores.tobytes() == expected.tobytes()
+
+    def test_memory_stays_far_below_one_query_block(self):
+        # the contribution block alone, (QUERY_CHUNK, n) float64, is 16 MB here
+        rng = np.random.default_rng(5)
+        train, test = random_dataset(rng, 8000, d=2), random_dataset(rng, QUERY_CHUNK, d=2)
+        tracemalloc.start()
+        try:
+            knn_shapley(train, test, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < QUERY_CHUNK * train.n * 8 / 3, peak
 
 
 class TestKnnUtility:
