@@ -28,7 +28,7 @@ class GeneratorSpec:
     """Which generator to run and with which parameters.
 
     smote params: k_neighbors (default 5), seed.
-    external params: exec_in (CSV we write the source rows to) and
+    external params, both required: exec_in (CSV we write the source rows to) and
     exec_out (CSV the external tool leaves the synthetic rows in).
     """
 
@@ -41,6 +41,8 @@ class GeneratorSpec:
         params = dict(self.params)
         if self.kind == "smote" and int(params.get("k_neighbors", 5)) < 1:
             raise ValueError("smote requires k_neighbors >= 1")
+        if self.kind == "external" and not (params.get("exec_in") and params.get("exec_out")):
+            raise ValueError("external generator requires exec_in and exec_out paths")
         object.__setattr__(self, "params", params)
 
     def with_seed(self, seed: int) -> "GeneratorSpec":
@@ -135,11 +137,7 @@ def generate(source: Dataset, m: int, gen: GeneratorSpec) -> Dataset:
     if gen.kind == "smote":
         k_neighbors, seed = int(gen.params.get("k_neighbors", 5)), int(gen.params.get("seed", 0))
         return smote_generate(source, m, k_neighbors, seed)
-    exec_in = gen.params.get("exec_in")
-    exec_out = gen.params.get("exec_out")
-    if not exec_in or not exec_out:
-        raise ValueError("external generator requires exec_in and exec_out paths")
-    return external_generate(source, m, str(exec_in), str(exec_out))
+    return external_generate(source, m, str(gen.params["exec_in"]), str(gen.params["exec_out"]))
 
 
 def append_batch(train: Dataset, batch: Dataset) -> Dataset:

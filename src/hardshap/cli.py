@@ -173,9 +173,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--label", default="label")
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
-    p.add_argument("--thresholds", default="0.25,0.75,0.2", type=_checked(
+    p.add_argument("--thresholds", type=_checked(
         _comma_floats, lambda t: len(t) == 3 and not any(map(math.isnan, t)) and t[0] < t[1],
         "three numbers with low_conf < high_conf", "thresholds"),
+        default=",".join(map(str, dataiq_mod.DEFAULT_THRESHOLDS)),
         help="low_conf,high_conf,low_aleatoric")
     p.add_argument("--probs-out", help="also write the checkpoint probability matrix")
     p.add_argument("--no-standardize", action="store_true")
@@ -201,9 +202,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p = sub.add_parser("sim-toy", help="analytic 1NN values for the 1-D mixture")
     p.add_argument("--x-train", type=_checked(float, math.isfinite, "finite", "x-train"),
                    default=0.0)
-    p.add_argument("--grid", default="-8,8,0.001", help="lower,upper,step", type=_checked(
+    p.add_argument("--grid", help="lower,upper,step", type=_checked(
         _comma_floats, lambda g: len(g) == 3 and all(map(math.isfinite, g)) and g[2] > 0,
-        "three finite numbers with a positive step", "grid"))
+        "three finite numbers with a positive step", "grid"),
+        default=",".join(map(str, sim.TOY_GRID)))
     p.add_argument("--out", help="optional CSV for the interval table")
     common(p, seeded=False)
 

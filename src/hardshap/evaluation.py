@@ -175,16 +175,16 @@ def removal_curve(
     valid: Dataset,
     scores: ValuationScores,
     fractions: Sequence[float],
-    strategy: str | Sequence[str] = "hardest",
+    strategies: Sequence[str],
     seed: int = 0,
     k: int = DOWNSTREAM_K,
-) -> list[tuple[float, float]] | list[list[tuple[float, float]]]:
-    """Validation Gini after dropping a growing share of training points.
+) -> list[list[tuple[float, float]]]:
+    """Validation Gini after dropping a growing share of training points, per strategy.
 
-    strategy 'hardest' removes by ascending score; 'random' removes a
+    Strategy 'hardest' removes by ascending score; 'random' removes a
     seeded uniform subset of the same size, giving the null arm the curve
-    is compared against. A sequence of strategies gives one curve per
-    strategy, in order, checked and refused as by one call per strategy.
+    is compared against. Gives one curve per strategy, in order, checked
+    and refused as by one call per strategy.
 
     Each point equals ``knn_predict_proba`` refitted on the rows kept. Each
     ``top_k_blocks`` block of valid-to-train distances is computed once for
@@ -194,7 +194,6 @@ def removal_curve(
     its own copy, and the points that drop no row (fraction 0) are voted
     once for all strategies.
     """
-    strategies = [strategy] if isinstance(strategy, str) else list(strategy)
     fractions = list(fractions)
     X, y, order = id_sorted_view(train)
     dropped = [_dropped_columns(train, valid, scores, fractions, name, seed, k, order)
@@ -215,9 +214,8 @@ def removal_curve(
                 if full is None:  # nothing is masked yet: drop counts grow with the fraction
                     full = y[smallest_k(masked, k)].mean(axis=1)
                 probs[c, f, lo:hi] = full
-    curves = [[(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, curve)]
-              for curve in probs]
-    return curves[0] if isinstance(strategy, str) else curves
+    return [[(fraction, gini(p, valid.labels)) for fraction, p in zip(fractions, curve)]
+            for curve in probs]
 
 
 def _dropped_columns(

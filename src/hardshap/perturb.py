@@ -24,6 +24,7 @@ from .valuation import knn_shapley
 KINDS = ("mislabeling", "ood", "atypical")
 CHARACTERIZERS = ("knn_shapley", "dataiq", "random")
 TAKES_K = ("knn_shapley", "dataiq")  # the characterizers that read k
+PROBE_FRACTION = 0.2  # share of each run held out as the clean probe set
 
 
 @dataclass(frozen=True)
@@ -203,7 +204,6 @@ def benchmark(
     seed: int = 0,
     k: int = 5,
     n_checkpoints: int = 10,
-    probe_fraction: float = 0.2,
     threads: int = 1,
 ) -> list[BenchmarkRow]:
     """AUPRC of each characterizer against each planted perturbation.
@@ -234,7 +234,7 @@ def benchmark(
         split_seed, perturb_seed, score_seed = (
             int(s.generate_state(1)[0]) for s in cell_seq.spawn(3)
         )
-        work, probe = _probe_split(ds, probe_fraction, split_seed)
+        work, probe = _probe_split(ds, split_seed)
         perturbed, record = _perturb(work, kind, p, perturb_seed)
         rng = np.random.default_rng(np.random.SeedSequence(score_seed))
         out = []
@@ -248,13 +248,13 @@ def benchmark(
     return rows
 
 
-def _probe_split(ds: Dataset, probe_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+def _probe_split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Split off a clean probe set; everything else is the working set."""
     # The splitter is three-way by contract, so carve the probe as the third
     # part and keep every other row, in id order, as the working set.
-    half = probe_fraction / 2
+    half = PROBE_FRACTION / 2
     _, _, probe = stratified_split(
-        ds, SplitSpec(1.0 - probe_fraction - half, half, probe_fraction, seed)
+        ds, SplitSpec(1.0 - PROBE_FRACTION - half, half, PROBE_FRACTION, seed)
     )
     by_id = np.argsort(ds.ids)
     return ds.take(by_id[~np.isin(ds.ids[by_id], probe.ids)]), probe

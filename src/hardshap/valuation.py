@@ -16,7 +16,7 @@ import ast
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -103,15 +103,6 @@ def _contribution_rows(
             yield idx, s
 
 
-def _contribution_block(rows: Iterator[tuple[np.ndarray, np.ndarray]], count: int,
-                        n: int) -> np.ndarray:
-    """The next ``count`` contribution rows as a (count, n) block in train column order."""
-    block = np.empty((count, n))
-    for out, (idx, s) in zip(block, rows):
-        out[idx] = s
-    return block
-
-
 def _train_sum(rows: Iterator[tuple[np.ndarray, np.ndarray]], count: int, n: int) -> np.ndarray:
     """Each train column's sum over the next ``count`` contribution rows, no block built.
 
@@ -163,35 +154,18 @@ def _pairwise_sum(rows: Iterator[np.ndarray], count: int, lanes: np.ndarray) -> 
     return total
 
 
-def _block_pass(train: Dataset, test: Dataset, k: int, threads: int,
-                reduce: Callable) -> tuple[list, np.ndarray]:
-    """``reduce(rows, count, n)`` of each block of QUERY_CHUNK test rows, in block order.
-
-    Also returns the train row position of each id-sorted column.
-    """
-    _check_valuation_inputs(train, test, k)
-    X, y, orig_pos = id_sorted_view(train)
-    weights = _recursion_weights(train.n, k)
-
-    def run(block: tuple[int, int]) -> np.ndarray:
-        lo, hi = block
-        rows = _contribution_rows(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-        return reduce(rows, hi - lo, train.n)
-
-    return parallel_map(run, list(fixed_chunks(test.n, QUERY_CHUNK)), threads), orig_pos
-
-
-def knn_shapley_contributions(
-    train: Dataset, test: Dataset, k: int, threads: int = 1
-) -> np.ndarray:
+def knn_shapley_contributions(train: Dataset, test: Dataset, k: int) -> np.ndarray:
     """Exact per-test KNN Shapley contributions, shape (n_train, n_test).
 
     Column j holds every training point's contribution for test point j;
     averaging columns gives the final scores. Rows follow train row order.
     """
-    blocks, orig_pos = _block_pass(train, test, k, threads, _contribution_block)
+    _check_valuation_inputs(train, test, k)
+    X, y, orig_pos = id_sorted_view(train)
+    weights = _recursion_weights(train.n, k)
     values = np.empty((train.n, test.n))
-    values[orig_pos] = np.concatenate(blocks).T
+    for j, (idx, s) in enumerate(_contribution_rows(X, y, test.features, test.labels, k, weights)):
+        values[orig_pos[idx], j] = s
     return values
 
 
@@ -201,9 +175,19 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
     Runs in O(n (d + log n)) per test point and is deterministic for any
     thread count: each block of QUERY_CHUNK test rows gives one train-length
     sum, and the block sums are added in block order. Memory is a few
-    train-length rows per thread, never a (QUERY_CHUNK, n) block.
+    train-length rows per thread, never a (QUERY_CHUNK, n) block, plus the
+    block sums, which are kept until the pass ends.
     """
-    sums, orig_pos = _block_pass(train, test, k, threads, _train_sum)
+    _check_valuation_inputs(train, test, k)
+    X, y, orig_pos = id_sorted_view(train)
+    weights = _recursion_weights(train.n, k)
+
+    def block_sum(block: tuple[int, int]) -> np.ndarray:
+        lo, hi = block
+        rows = _contribution_rows(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
+        return _train_sum(rows, hi - lo, train.n)
+
+    sums = parallel_map(block_sum, list(fixed_chunks(test.n, QUERY_CHUNK)), threads)
     scores = np.empty(train.n)
     scores[orig_pos] = sum(sums, np.zeros(train.n)) / test.n
     return ValuationScores(scores, train.ids, "knn_shapley", {"k": k})

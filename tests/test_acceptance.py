@@ -166,10 +166,10 @@ def test_criterion_07_removal_curve_direction():
         train, valid, test = gen_blobs(BlobConfig(seed=seed))
         scores = knn_shapley(train, test, 5)
         hardest_ginis.append(
-            removal_curve(train, valid, scores, [0.2], "hardest", seed=seed)[0][1]
+            removal_curve(train, valid, scores, [0.2], ["hardest"], seed=seed)[0][0][1]
         )
         random_ginis.append(
-            removal_curve(train, valid, scores, [0.2], "random", seed=seed)[0][1]
+            removal_curve(train, valid, scores, [0.2], ["random"], seed=seed)[0][0][1]
         )
     elapsed = time.perf_counter() - start
     mean_hard, mean_rand = np.mean(hardest_ginis), np.mean(random_ginis)

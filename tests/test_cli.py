@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hardshap
-from hardshap import augment, cli, evaluation, neighbors, valuation
+from hardshap import augment, cli, dataiq, evaluation, neighbors, sim, valuation
 from hardshap.cli import main
 from hardshap.dataset import Dataset, load_csv, save_csv
 from hardshap.neighbors import QUERY_CHUNK
@@ -548,6 +548,16 @@ def test_every_flag_value_is_checked_by_the_parser():
         or (action.type is None and isinstance(action.default, str) and "," in action.default)
     ]
     assert unchecked == []
+
+
+@pytest.mark.parametrize("argv, dest, constant", [
+    (["dataiq", "--train", "train.csv", "--out", "tags.csv"], "thresholds",
+     dataiq.DEFAULT_THRESHOLDS),
+    (["sim-toy"], "grid", sim.TOY_GRID),
+])
+def test_comma_list_defaults_parse_back_to_their_constants(argv, dest, constant):
+    parser, _ = cli._build_parser()
+    assert getattr(parser.parse_args(argv), dest) == constant
 
 
 def test_every_parser_takes_only_full_flag_names():

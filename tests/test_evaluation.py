@@ -354,21 +354,21 @@ class TestRemovalCurve:
 
     def test_zero_fraction_identical_across_strategies(self, data):
         train, valid, scores = data
-        hard = removal_curve(train, valid, scores, [0.0], "hardest", seed=0, k=9)
-        rand = removal_curve(train, valid, scores, [0.0], "random", seed=0, k=9)
+        hard = removal_curve(train, valid, scores, [0.0], ["hardest"], seed=0, k=9)[0]
+        rand = removal_curve(train, valid, scores, [0.0], ["random"], seed=0, k=9)[0]
         assert hard == rand
 
     def test_row_count(self, data):
         train, valid, scores = data
-        curve = removal_curve(train, valid, scores, [0.0, 0.1, 0.2], "hardest", seed=0, k=9)
+        curve = removal_curve(train, valid, scores, [0.0, 0.1, 0.2], ["hardest"], seed=0, k=9)[0]
         assert [f for f, _ in curve] == [0.0, 0.1, 0.2]
 
     def test_fraction_validation(self, data):
         train, valid, scores = data
         with pytest.raises(ValueError, match="ascending"):
-            removal_curve(train, valid, scores, [0.2, 0.1], "hardest", 0)
+            removal_curve(train, valid, scores, [0.2, 0.1], ["hardest"], 0)
         with pytest.raises(ValueError, match="ascending"):
-            removal_curve(train, valid, scores, [0.5, 1.0], "hardest", 0)
+            removal_curve(train, valid, scores, [0.5, 1.0], ["hardest"], 0)
 
     def test_single_class_remainder_rejected(self):
         # the only label-0 row is the hardest, so dropping one point leaves a
@@ -377,19 +377,19 @@ class TestRemovalCurve:
         valid = Dataset([[0.0], [5.0]], [1, 0], ("x",), [0, 1])
         scores = ValuationScores([0.5, 0.6, -1.0], train.ids, "tmc_shapley", {})
         with pytest.raises(ValueError, match="single-class"):
-            removal_curve(train, valid, scores, [0.4], "hardest", 0, k=1)
+            removal_curve(train, valid, scores, [0.4], ["hardest"], 0, k=1)
 
     @pytest.mark.parametrize("strategy", ["hardest", "random"])
     def test_rejects_scores_of_other_ids(self, data, strategy):
         train, valid, scores = data
         shifted = ValuationScores(scores.scores, scores.ids + 1000, scores.method, scores.params)
         with pytest.raises(ValueError, match="scores are not aligned with the dataset ids"):
-            removal_curve(train, valid, shifted, [0.0, 0.1], strategy, 0)
+            removal_curve(train, valid, shifted, [0.0, 0.1], [strategy], 0)
 
     def test_unknown_strategy(self, data):
         train, valid, scores = data
         with pytest.raises(ValueError, match="strategy"):
-            removal_curve(train, valid, scores, [0.1], "easiest", 0)
+            removal_curve(train, valid, scores, [0.1], ["easiest"], 0)
 
     @pytest.mark.parametrize("strategy", ["hardest", "random"])
     @pytest.mark.parametrize("k", [1, 7, 15])
@@ -404,7 +404,7 @@ class TestRemovalCurve:
                         np.arange(80) % 2, ("a", "b"), np.arange(80))
         scores = ValuationScores(rng.integers(0, 5, 300) / 4.0, train.ids, "tmc_shapley", {})
         fractions = [0.0, 0.1, 0.3, 0.5]
-        assert removal_curve(train, valid, scores, fractions, strategy, 3, k) == (
+        assert removal_curve(train, valid, scores, fractions, [strategy], 3, k)[0] == (
             _refit_curve(train, valid, scores, fractions, strategy, 3, k)
         )
 
@@ -415,7 +415,7 @@ class TestRemovalCurve:
                         [0, 0, 0, 1, 1, 1], ("x",), np.arange(6))
         valid = Dataset([[2e300], [-2e300], [2e300], [-2e300]], [0, 1, 0, 1], ("x",), np.arange(4))
         scores = ValuationScores([0.0, 0.25, 1.0, 0.75, 0.5, 1.25], train.ids, "tmc_shapley", {})
-        curve = removal_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
+        curve = removal_curve(train, valid, scores, [0.0, 0.2], ["hardest"], 0, 3)[0]
         assert curve == _refit_curve(train, valid, scores, [0.0, 0.2], "hardest", 0, 3)
         assert curve == [(0.0, -1.0), (0.2, 0.0)]
 
@@ -424,7 +424,7 @@ class TestRemovalCurve:
         train, valid, scores = data
         strategies = ["random", "hardest", "random"]
         assert removal_curve(train, valid, scores, fractions, strategies, 5, 7) == [
-            removal_curve(train, valid, scores, fractions, strategy, 5, 7)
+            removal_curve(train, valid, scores, fractions, [strategy], 5, 7)[0]
             for strategy in strategies]
         assert removal_curve(train, valid, scores, fractions, [], 5, 7) == []
 
@@ -479,8 +479,8 @@ class TestRemovalCurve:
     def test_errors_in_fraction_order(self, data):
         train, valid, scores = data
         with pytest.raises(ValueError, match="K=400 out of range for 360 training rows"):
-            removal_curve(train, valid, scores, [0.0, 0.1, 0.2], "hardest", 0, k=400)
-        assert removal_curve(train, valid, scores, [], "hardest", 0) == []
+            removal_curve(train, valid, scores, [0.0, 0.1, 0.2], ["hardest"], 0, k=400)
+        assert removal_curve(train, valid, scores, [], ["hardest"], 0)[0] == []
 
 
 def _refit_curve(train, valid, scores, fractions, strategy, seed, k):

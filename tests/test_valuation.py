@@ -99,6 +99,19 @@ class TestKnnShapley:
         contrib = knn_shapley_contributions(train, test, 1)[:, 0]
         assert contrib[0] == contrib[1]
 
+    def test_contribution_columns_do_not_depend_on_the_other_test_rows(self):
+        # 300 test rows span many ORDER_ROWS chunks and cross QUERY_CHUNK;
+        # lattice rows in shuffled id order make most distances tie
+        rng = np.random.default_rng(31)
+        train = Dataset(rng.integers(0, 4, size=(90, 2)).astype(float), rng.integers(0, 2, 90),
+                        ("a", "b"), rng.permutation(400)[:90])
+        test = Dataset(rng.integers(0, 4, size=(300, 2)).astype(float), rng.integers(0, 2, 300),
+                       ("a", "b"), np.arange(300))
+        contrib = knn_shapley_contributions(train, test, 3)
+        for j in [0, 7, 8, 100, QUERY_CHUNK - 1, QUERY_CHUNK, QUERY_CHUNK + 1, 299]:
+            alone = knn_shapley_contributions(train, test.take([j]), 3)[:, 0]
+            assert contrib[:, j].tobytes() == alone.tobytes(), j
+
     def test_scores_within_unit_interval(self):
         rng = np.random.default_rng(23)
         train = random_dataset(rng, 40, d=2)
