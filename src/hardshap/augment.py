@@ -21,13 +21,14 @@ from .neighbors import check_same_dimension, k_nearest
 from .valuation import ValuationScores, hardest_subset
 
 GENERATOR_KINDS = ("smote", "external")
+SMOTE_K = 5  # SMOTE's default neighbour count
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Which generator to run and with which parameters.
 
-    smote params: k_neighbors (default 5), seed.
+    smote params: k_neighbors (default SMOTE_K), seed.
     external params, both required: exec_in (CSV we write the source rows to) and
     exec_out (CSV the external tool leaves the synthetic rows in).
     """
@@ -39,7 +40,7 @@ class GeneratorSpec:
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         params = dict(self.params)
-        if self.kind == "smote" and int(params.get("k_neighbors", 5)) < 1:
+        if self.kind == "smote" and int(params.get("k_neighbors", SMOTE_K)) < 1:
             raise ValueError("smote requires k_neighbors >= 1")
         if self.kind == "external" and not (params.get("exec_in") and params.get("exec_out")):
             raise ValueError("external generator requires exec_in and exec_out paths")
@@ -56,7 +57,7 @@ def _class_allocation(labels: np.ndarray, m: int) -> dict[int, int]:
     return dict(zip(classes.tolist(), largest_remainder(m, quotas)))
 
 
-def smote_generate(source: Dataset, m: int, k_neighbors: int = 5, seed: int = 0) -> Dataset:
+def smote_generate(source: Dataset, m: int, k_neighbors: int = SMOTE_K, seed: int = 0) -> Dataset:
     """Sample m rows along segments between same-class nearest neighbors.
 
     Classes are represented proportionally to their prevalence in the
@@ -135,8 +136,8 @@ def external_generate(
 def generate(source: Dataset, m: int, gen: GeneratorSpec) -> Dataset:
     """Dispatch to the generator named by the spec."""
     if gen.kind == "smote":
-        k_neighbors, seed = int(gen.params.get("k_neighbors", 5)), int(gen.params.get("seed", 0))
-        return smote_generate(source, m, k_neighbors, seed)
+        k_neighbors = int(gen.params.get("k_neighbors", SMOTE_K))
+        return smote_generate(source, m, k_neighbors, int(gen.params.get("seed", 0)))
     return external_generate(source, m, str(gen.params["exec_in"]), str(gen.params["exec_out"]))
 
 
@@ -157,28 +158,25 @@ def append_batch(train: Dataset, batch: Dataset) -> Dataset:
     )
 
 
-def targeted_batch(
-    train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
-) -> Dataset:
-    """Rows the generator draws after fitting on the tau-hardest rows of train.
-
-    Draws round(amount * ceil(tau*n)) rows; tau=1 is the non-targeted
-    baseline.
-    """
+def synthetic_rows(amount: float, n: int) -> int:
+    """round(amount * n): the rows drawn at ``amount`` synthetic rows per source row."""
     if amount <= 0:
         raise ValueError("amount must be positive")
-    hard = hardest_subset(train, scores, tau)
-    m = round_half_up(amount * hard.n)
+    m = round_half_up(amount * n)
     if m == 0:
-        raise ValueError(f"amount {amount} of {hard.n} hard rows rounds to zero synthetic rows")
-    return generate(hard, m, gen)
+        raise ValueError(f"amount {amount} of {n} hard rows rounds to zero synthetic rows")
+    return m
 
 
 def targeted_augment(
     train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
 ) -> Dataset:
-    """Train followed by ``targeted_batch``'s rows; original rows and ids are untouched."""
-    return append_batch(train, targeted_batch(train, scores, tau, amount, gen))
+    """Train, then ``synthetic_rows(amount, ceil(tau*n))`` rows fitted on its tau-hardest rows.
+
+    Original rows and ids are untouched; tau=1 is the non-targeted baseline.
+    """
+    hard = hardest_subset(train, scores, tau)
+    return append_batch(train, generate(hard, synthetic_rows(amount, hard.n), gen))
 
 
 def _ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from . import _io
 from . import augment as augment_mod
 from . import dataiq as dataiq_mod
 from . import evaluation, perturb, sim, valuation
-from ._util import hard_count, round_half_up
+from ._util import hard_count
 from .dataset import Dataset, load_csv, save_csv, standardize
 
 T = TypeVar("T")
@@ -64,8 +64,8 @@ def _non_negative(name: str) -> Callable[[str], float]:
 
 
 def _subset_of(names: tuple[str, ...], name: str) -> Callable[[str], tuple[str, ...]]:
-    return _checked(_comma_names, lambda got: bool(got) and set(got) <= set(names),
-                    "a non-empty subset of " + ",".join(names), name)
+    return _checked(_comma_names, lambda got: 0 < len(got) == len(set(got) & set(names)),
+                    "a non-empty subset of " + ",".join(names) + " without repeats", name)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
@@ -113,8 +113,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--tau", type=tau, required=True, help="hardest fraction in (0, 1]")
     p.add_argument("--amount", type=amount, required=True, help="synthetic rows per hard row")
     p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS, required=True)
-    p.add_argument("--k", type=_at_least(1, "K"), default=5,
-                   help="SMOTE neighbor count (default 5)")
+    p.add_argument("--k", type=_at_least(1, "K"), default=augment_mod.SMOTE_K,
+                   help=f"SMOTE neighbor count (default {augment_mod.SMOTE_K})")
     p.add_argument("--exec-in", help="external generator: where to write the hard subset")
     p.add_argument("--exec-out", help="external generator: where to read synthetic rows")
     p.add_argument("--out", required=True)
@@ -139,7 +139,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--amount", type=amount, required=True)
     # one --exec-in/--exec-out pair shared by every replicate would give a zero-width CI
     p.add_argument("--generator", choices=("smote",), required=True)
-    p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=5, help="SMOTE neighbor count")
+    p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=augment_mod.SMOTE_K,
+                   help="SMOTE neighbor count")
     p.add_argument("--replicates", type=_at_least(2, "replicates"), default=30)
     p.add_argument("--with-baseline", action="store_true", help="also run the tau=1 arm")
     p.add_argument("--no-standardize", action="store_true")
@@ -153,8 +154,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--kinds", type=_subset_of(perturb.KINDS, "kinds"),
                    default=",".join(perturb.KINDS))
     p.add_argument("--proportions", default="0.05,0.1,0.15,0.2", type=_checked(
-        _comma_floats, lambda ps: bool(ps) and all(0.0 < p < 1.0 for p in ps),
-        "a non-empty list in (0, 1)", "proportions"))
+        _comma_floats, lambda ps: 0 < len(ps) == len(set(ps)) and all(0.0 < p < 1.0 for p in ps),
+        "a non-empty list in (0, 1) without repeats", "proportions"))
     p.add_argument("--characterizers", type=_subset_of(perturb.CHARACTERIZERS, "characterizers"),
                    default=",".join(perturb.CHARACTERIZERS))
     p.add_argument("--runs", type=_at_least(1, "runs"), default=3)
@@ -189,8 +190,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--scores", required=True)
     p.add_argument("--label", default="label")
     p.add_argument("--fractions", default="0,0.05,0.1,0.2", type=_checked(
-        _comma_floats, lambda fs: bool(fs) and all(0.0 <= f < 1.0 for f in fs)
-        and list(fs) == sorted(fs), "a non-empty ascending list in [0, 1)", "fractions"))
+        _comma_floats, lambda fs: bool(fs) and all(0 <= a < b for a, b in zip(fs, (*fs[1:], 1))),
+        "a non-empty strictly ascending list in [0, 1)", "fractions"))
     p.add_argument("--strategies", type=_subset_of(evaluation.STRATEGIES, "strategies"),
                    default=",".join(evaluation.STRATEGIES))
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
@@ -330,9 +331,8 @@ def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
 def _generator_spec(args: argparse.Namespace, k: int) -> augment_mod.GeneratorSpec:
     if args.generator == "smote":
         return augment_mod.GeneratorSpec("smote", {"k_neighbors": k, "seed": args.seed})
-    return augment_mod.GeneratorSpec(
-        "external", {"exec_in": args.exec_in, "exec_out": args.exec_out, "seed": args.seed}
-    )
+    return augment_mod.GeneratorSpec("external", {"exec_in": args.exec_in,
+                                                  "exec_out": args.exec_out})
 
 
 def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
@@ -398,19 +398,18 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     gen = _generator_spec(args, args.gen_k)
     train, valid, test = _load(args.label, args.no_standardize, args.train, args.valid, args.test)
+    m = augment_mod.synthetic_rows(args.amount, hard_count(args.tau, train.n))
     scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
-    arms = [("targeted", args.tau, args.amount, args.out)]
+    arms = [("targeted", args.tau, args.out)]
     if args.with_baseline:
-        # same synthetic budget spent without targeting
-        budget = round_half_up(args.amount * hard_count(args.tau, train.n))
-        arms.append(("baseline", 1.0, budget / train.n,
-                     args.baseline_out or f"{args.out}.baseline.csv"))
+        # the same m rows from every row, in hardness order: SMOTE picks rows by position
+        arms.append(("baseline", 1.0, args.baseline_out or f"{args.out}.baseline.csv"))
     # both arms vote against the same valid->train neighbourhood
     vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
-    for arm, tau, amount, out in arms:
-        report = evaluation.repeated_gini(
-            vote, scores, tau, amount, gen, args.replicates, args.seed, threads=args.threads
-        )
+    for arm, tau, out in arms:
+        source = valuation.hardest_subset(train, scores, tau)
+        report = evaluation.repeated_gini(vote, source, m, gen, args.replicates, args.seed,
+                                          threads=args.threads)
         evaluation.save_metric_report_csv(
             report, out, header_comment=_header(argv, seed=args.seed, arm=arm)
         )

@@ -34,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from . import _io
 from ._util import fixed_chunks, parallel_map, round_half_up
-from .augment import GeneratorSpec, targeted_batch
+from .augment import GeneratorSpec, generate
 from .dataset import Dataset
 from .neighbors import (
     QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
@@ -146,23 +146,22 @@ def _normal_ci(values: np.ndarray) -> tuple[float, float, float]:
 
 
 def repeated_gini(
-    vote: CachedVote, scores: ValuationScores, tau: float, amount: float,
-    generator: GeneratorSpec, replicates: int, base_seed: int = 0, threads: int = 1,
+    vote: CachedVote, source: Dataset, m: int, generator: GeneratorSpec,
+    replicates: int, base_seed: int = 0, threads: int = 1,
 ) -> MetricReport:
     """Validation Gini of augment -> fit -> score, repeated over derived seeds.
 
-    Each replicate draws a ``targeted_batch`` from the vote's train set and
-    votes it against the vote's query set. Only the generator draw varies
-    between replicates; the report carries every replicate plus the mean
-    and its 95% CI. Arms over the same sets share one vote.
+    Each replicate draws m rows from the generator fitted on ``source`` and
+    votes them, added to the vote's train set, against its query set. Only the
+    generator draw varies between replicates; the report carries every
+    replicate plus the mean and its 95% CI. Arms over the same sets share one vote.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a confidence interval")
     children = np.random.SeedSequence(base_seed).spawn(replicates)
 
     def one(child: np.random.SeedSequence) -> float:
-        gen = generator.with_seed(int(child.generate_state(1)[0]))
-        batch = targeted_batch(vote.train, scores, tau, amount, gen)
+        batch = generate(source, m, generator.with_seed(int(child.generate_state(1)[0])))
         return gini(vote.predict_proba(batch), vote.query.labels)
 
     values = np.array(parallel_map(one, children, threads))

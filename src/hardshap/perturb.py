@@ -216,9 +216,12 @@ def benchmark(
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    unknown = set(characterizers) - set(CHARACTERIZERS)
-    if unknown:
+    if unknown := set(characterizers) - set(CHARACTERIZERS):
         raise ValueError(f"unknown characterizers: {sorted(unknown)}")
+    # the mean table keys its cells by value, so a repeat would merge two cells
+    given = {"kinds": kinds, "proportions": proportions, "characterizers": characterizers}
+    if repeated := [name for name, values in given.items() if len(set(values)) < len(values)]:
+        raise ValueError(f"{', '.join(repeated)} must not repeat a value")
     cells = [
         (ki, pi, run)
         for ki in range(len(kinds))

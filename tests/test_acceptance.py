@@ -23,6 +23,7 @@ from hardshap.perturb import benchmark
 from hardshap.sim import BlobConfig, gen_blobs, toy_expected_shapley, toy_interval_table
 from hardshap.valuation import (
     exact_data_shapley,
+    hardest_subset,
     knn_shapley,
     knn_shapley_contributions,
     knn_utility,
@@ -184,9 +185,11 @@ def test_criterion_08_targeted_vs_nontargeted():
     scores = knn_shapley(train, test, 5)
     gen = GeneratorSpec("smote", {"k_neighbors": 5, "seed": 0})
     vote = CachedVote(train, valid)
-    targeted = repeated_gini(vote, scores, 0.05, 1.0, gen, 30, base_seed=42)
     budget = round(1.0 * math.ceil(0.05 * train.n))
-    nontargeted = repeated_gini(vote, scores, 1.0, budget / train.n, gen, 30, base_seed=42)
+    targeted = repeated_gini(vote, hardest_subset(train, scores, 0.05), budget, gen, 30,
+                             base_seed=42)
+    nontargeted = repeated_gini(vote, hardest_subset(train, scores, 1.0), budget, gen, 30,
+                                base_seed=42)
     diff = np.array(targeted.replicates) - np.array(nontargeted.replicates)
     half = 1.96 * diff.std(ddof=1) / math.sqrt(len(diff))
     ci_low = diff.mean() - half

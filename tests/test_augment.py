@@ -12,12 +12,12 @@ from hardshap.augment import (
     external_generate,
     generate,
     smote_generate,
+    synthetic_rows,
     targeted_augment,
-    targeted_batch,
     weighted_ks,
 )
 from hardshap.dataset import Dataset, load_csv, save_csv
-from hardshap.valuation import ValuationScores
+from hardshap.valuation import ValuationScores, hardest_subset
 
 from conftest import random_dataset
 
@@ -157,7 +157,8 @@ class TestTargetedAugment:
         rng = np.random.default_rng(19)
         train = random_dataset(rng, 120, d=2)
         spec = GeneratorSpec("smote", {"k_neighbors": 3, "seed": 5})
-        batch = targeted_batch(train, scored(train), 0.25, 0.4, spec)
+        hard = hardest_subset(train, scored(train), 0.25)
+        batch = generate(hard, synthetic_rows(0.4, hard.n), spec)
         out = targeted_augment(train, scored(train), 0.25, 0.4, spec)
         assert batch.n == out.n - train.n == 12
         assert np.array_equal(out.features[train.n:], batch.features)

@@ -304,6 +304,8 @@ def test_smote_searches_neighbours_only_for_the_rows_it_draws(tmp_path, monkeypa
                  "--replicates", "3", "--seed", "8", "--with-baseline",
                  "--out", str(tmp_path / "report.csv")]) == 0
     assert len(calls) == 2 * 3
+    # both arms spend one budget: ceil(0.1 * 200) rows, once per replicate
+    assert [m for (_, m, _, _), _ in calls] == [20] * 6
     sources = set()
     for (source, m, k_neighbors, seed), blocks in calls:
         sources.add(source.n)
@@ -320,6 +322,25 @@ def test_smote_searches_neighbours_only_for_the_rows_it_draws(tmp_path, monkeypa
     # the hard subset and the whole train set; the full class graph would
     # query every row of each class
     assert sources == {20, 200}
+
+
+def test_eval_pipeline_refuses_a_zero_count_before_scoring(tmp_path, monkeypatch, capsys):
+    prefix = str(tmp_path / "blob")
+    assert main(["sim-blobs", "--out-prefix", prefix, "--n-train", "300", "--n-valid", "50",
+                 "--n-test", "50"]) == 0
+    written = set(tmp_path.iterdir())
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("knn_shapley ran")
+
+    monkeypatch.setattr(valuation, "knn_shapley", no_scoring)
+    assert main(["eval-pipeline", "--train", f"{prefix}_train.csv",
+                 "--valid", f"{prefix}_valid.csv", "--test", f"{prefix}_test.csv",
+                 "--tau", "0.01", "--amount", "0.1", "--generator", "smote", "--with-baseline",
+                 "--out", str(tmp_path / "report.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: eval-pipeline: amount 0.1 of 3 hard rows rounds to zero synthetic rows\n")
+    assert set(tmp_path.iterdir()) == written
 
 
 def test_eval_pipeline_rejects_the_external_generator(tmp_path, capsys, blob_files):
@@ -524,6 +545,11 @@ _REQUIRED = {
     ("removal-curve", "--fractions", ""),
     ("removal-curve", "--strategies", ""),
     ("removal-curve", "--strategies", "easiest"),
+    ("perturb-bench", "--kinds", "mislabeling,mislabeling"),
+    ("perturb-bench", "--proportions", "0.1,0.2,0.1"),
+    ("perturb-bench", "--characterizers", "random,random"),
+    ("removal-curve", "--strategies", "hardest,hardest"),
+    ("removal-curve", "--fractions", "0,0,0.1"),
 ])
 def test_numeric_flag_out_of_range_is_a_usage_error(tmp_path, monkeypatch, capsys,
                                                       command, flag, value):

@@ -14,8 +14,9 @@ from hardshap._util import round_half_up
 from hardshap.augment import (
     GeneratorSpec,
     append_batch,
+    generate,
+    synthetic_rows,
     targeted_augment,
-    targeted_batch,
 )
 from hardshap.dataset import Dataset
 from hardshap.evaluation import (
@@ -31,7 +32,7 @@ from hardshap.evaluation import (
     save_metric_report_csv,
 )
 from hardshap.neighbors import QUERY_CHUNK
-from hardshap.valuation import ValuationScores, knn_shapley, rank_by_hardness
+from hardshap.valuation import ValuationScores, hardest_subset, knn_shapley, rank_by_hardness
 
 from conftest import random_dataset
 
@@ -158,13 +159,18 @@ class TestNormalCi:
 
 
 class Pipeline(NamedTuple):
-    """repeated_gini's arguments before the replicate count."""
+    """An arm: its vote, the scores, tau and amount that pick its rows, and its generator."""
 
     vote: CachedVote
     scores: ValuationScores
     tau: float
     amount: float
     generator: GeneratorSpec
+
+    def args(self) -> tuple:
+        """repeated_gini's arguments before the replicate count."""
+        source = hardest_subset(self.vote.train, self.scores, self.tau)
+        return self.vote, source, synthetic_rows(self.amount, source.n), self.generator
 
 
 @pytest.fixture(scope="module")
@@ -186,23 +192,23 @@ def pipeline():
 class TestRepeatedGini:
 
     def test_deterministic_given_base_seed(self, pipeline):
-        a = repeated_gini(*pipeline, replicates=4, base_seed=5)
-        b = repeated_gini(*pipeline, replicates=4, base_seed=5)
+        a = repeated_gini(*pipeline.args(), replicates=4, base_seed=5)
+        b = repeated_gini(*pipeline.args(), replicates=4, base_seed=5)
         assert a == b
 
     def test_report_shape(self, pipeline):
-        report = repeated_gini(*pipeline, replicates=5, base_seed=1)
+        report = repeated_gini(*pipeline.args(), replicates=5, base_seed=1)
         assert len(report.replicates) == 5
         assert report.ci_low <= report.point <= report.ci_high
         assert report.metric == "gini"
 
     def test_needs_two_replicates(self, pipeline):
         with pytest.raises(ValueError, match="2 replicates"):
-            repeated_gini(*pipeline, replicates=1, base_seed=0)
+            repeated_gini(*pipeline.args(), replicates=1, base_seed=0)
 
     def test_thread_count_invariance(self, pipeline):
-        a = repeated_gini(*pipeline, replicates=4, base_seed=2, threads=1)
-        b = repeated_gini(*pipeline, replicates=4, base_seed=2, threads=4)
+        a = repeated_gini(*pipeline.args(), replicates=4, base_seed=2, threads=1)
+        b = repeated_gini(*pipeline.args(), replicates=4, base_seed=2, threads=4)
         assert a == b
 
     def test_replicates_equal_a_refit_on_each_augmented_set(self, pipeline):
@@ -216,7 +222,7 @@ class TestRepeatedGini:
             probs = knn_predict_proba(augmented, vote.query, vote.k)
             expected.append(gini(probs, vote.query.labels))
         for threads in (1, 4):
-            report = repeated_gini(*pipeline, replicates=3, base_seed=6, threads=threads)
+            report = repeated_gini(*pipeline.args(), replicates=3, base_seed=6, threads=threads)
             assert report.replicates == tuple(expected)
 
     def test_vote_shared_between_arms(self, pipeline):
@@ -225,7 +231,7 @@ class TestRepeatedGini:
         baseline = pipeline._replace(tau=1.0, amount=0.3)
         for arm in (pipeline, baseline, pipeline):
             fresh = arm._replace(vote=CachedVote(vote.train, vote.query, vote.k))
-            assert repeated_gini(*arm, 3, 1) == repeated_gini(*fresh, 3, 1)
+            assert repeated_gini(*arm.args(), 3, 1) == repeated_gini(*fresh.args(), 3, 1)
 
 
 def _lattice(rng, n, d, ids=None):
@@ -300,7 +306,7 @@ def _hard_rows(tau, n):
 
 
 def _nontargeted_amount(tau, n):
-    # the matched budget acceptance criterion 08 gives the tau = 1 arm
+    # the amount at which targeted_augment's tau = 1 arm draws the targeted arm's rows
     return round(_hard_rows(tau, n)) / n
 
 
@@ -324,15 +330,16 @@ class TestMatchedBudgetArms:
     def test_arms_share_generator_seeds(self, pipeline, monkeypatch):
         seen = {}
 
-        def recording_batch(train, scores, tau, amount, gen):
-            seen.setdefault(tau, []).append(gen.params["seed"])
-            return targeted_batch(train, scores, tau, amount, gen)
+        def recording_generate(source, m, gen):
+            # an arm's tau is its source's share of the train rows
+            seen.setdefault(source.n / pipeline.vote.train.n, []).append(gen.params["seed"])
+            return generate(source, m, gen)
 
-        monkeypatch.setattr(evaluation, "targeted_batch", recording_batch)
-        nontargeted = pipeline._replace(
-            tau=1.0, amount=_nontargeted_amount(pipeline.tau, pipeline.vote.train.n)
-        )
-        repeated_gini(*pipeline, replicates=4, base_seed=42)
+        monkeypatch.setattr(evaluation, "generate", recording_generate)
+        vote, hard, m, gen = pipeline.args()
+        # the baseline draws the targeted arm's m rows from every row, in hardness order
+        nontargeted = (vote, hardest_subset(vote.train, pipeline.scores, 1.0), m, gen)
+        repeated_gini(vote, hard, m, gen, replicates=4, base_seed=42)
         repeated_gini(*nontargeted, replicates=4, base_seed=42)
         assert len(seen[pipeline.tau]) == 4
         assert seen[pipeline.tau] == seen[1.0]

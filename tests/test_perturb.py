@@ -298,3 +298,9 @@ class TestBenchmark:
     def test_unknown_characterizer(self, blob_ds):
         with pytest.raises(ValueError, match="unknown characterizers"):
             benchmark(blob_ds, characterizers=("vog",))
+
+    @pytest.mark.parametrize("repeat", [{"kinds": ("ood", "ood")}, {"proportions": (0.1, 0.1)},
+                                        {"characterizers": ("random", "random")}])
+    def test_repeated_values_rejected(self, blob_ds, repeat):
+        with pytest.raises(ValueError, match=f"{next(iter(repeat))} must not repeat a value"):
+            benchmark(blob_ds, runs=1, **repeat)
