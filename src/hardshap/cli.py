@@ -358,10 +358,8 @@ def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
     scores = valuation.load_scores_csv(args.scores)
-    by_id = dict(zip(scores.ids.tolist(), scores.scores.tolist()))
-    rows = (
-        (rank, i, by_id[i]) for rank, i in enumerate(valuation.rank_by_hardness(scores).tolist())
-    )
+    order = valuation.hardness_order(scores)
+    rows = _io.array_rows(np.arange(scores.n), scores.ids[order], scores.scores[order])
     _io.write_csv(args.out, ["rank", "id", "score"], rows, [_header(argv)], newline="\n")
     return 0
 

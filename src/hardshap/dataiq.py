@@ -181,13 +181,13 @@ def bagged_checkpoint_probs(
 
 def save_probs_csv(cp: CheckpointProbs, path: str | Path, header_comment: str | None = None) -> None:
     header = ["id", *(f"p_{e + 1}" for e in range(cp.n_checkpoints))]
-    rows = ([i, *p] for i, p in zip(cp.ids.tolist(), cp.probs.tolist()))
+    rows = ([i, *p] for i, p in _io.array_rows(cp.ids, cp.probs))
     _io.write_csv(path, header, rows, [header_comment])
 
 
 def load_probs_csv(path: str | Path) -> CheckpointProbs:
     table = _io.read_csv(path)
-    if not table.n_rows:
+    if not table.has_rows:
         raise ValueError(f"no probability rows in {path}")
     header = table.header
     if header[0] != "id" or len(header) < 3:
@@ -197,5 +197,5 @@ def load_probs_csv(path: str | Path) -> CheckpointProbs:
 
 
 def save_tags_csv(tags: DataIQTags, path: str | Path, header_comment: str | None = None) -> None:
-    rows = zip(tags.ids.tolist(), tags.confidence.tolist(), tags.aleatoric.tolist(), tags.tag)
+    rows = _io.array_rows(tags.ids, tags.confidence, tags.aleatoric, tags.tag)
     _io.write_csv(path, ["id", "confidence", "aleatoric", "tag"], rows, [header_comment])

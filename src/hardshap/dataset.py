@@ -155,7 +155,8 @@ def standardize(
     scale = np.where(constant, 1.0, stds)
 
     def apply(ds: Dataset) -> Dataset:
-        Z = (ds.features - means) / scale
+        Z = ds.features - means
+        Z /= scale
         if constant.any():
             Z[:, constant] = 0.0
         return ds.with_features(Z)
@@ -178,7 +179,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     header = table.header
     if header is None:
         raise ValueError(f"empty file: {path}")
-    if not table.n_rows:
+    if not table.has_rows:
         raise ValueError(f"no data rows in {path}")
     if header.count(label_column) == 0:
         raise ValueError(f"missing label column {label_column!r} in {path}")
@@ -188,7 +189,7 @@ def load_csv(path: str | Path, label_column: str) -> Dataset:
     id_idx = header.index(ID_COLUMN) if ID_COLUMN in header else None
     feature_idx = [i for i in range(len(header)) if i != label_idx and i != id_idx]
     cols = table.columns(feature_idx, id_col=id_idx, label_col=label_idx)
-    ids = cols.ids if id_idx is not None else np.arange(table.n_rows, dtype=np.int64)
+    ids = cols.ids if id_idx is not None else np.arange(len(cols.labels), dtype=np.int64)
     return Dataset(cols.floats, cols.labels, tuple(header[i] for i in feature_idx), ids)
 
 
@@ -205,6 +206,5 @@ def save_csv(
     """
     if label_column in ds.feature_names or label_column == ID_COLUMN:
         raise ValueError(f"label column name {label_column!r} collides with an existing column")
-    columns = zip(ds.ids.tolist(), ds.features.tolist(), ds.labels.tolist())
-    rows = ([i, *x, y] for i, x, y in columns)
+    rows = ([i, *x, y] for i, x, y in _io.array_rows(ds.ids, ds.features, ds.labels))
     _io.write_csv(path, [ID_COLUMN, *ds.feature_names, label_column], rows, [header_comment])

@@ -194,6 +194,8 @@ def removal_curve(
     once for all strategies.
     """
     fractions = list(fractions)
+    if len(set(strategies)) < len(strategies):
+        raise ValueError("strategies must not repeat a value")
     X, y, order = id_sorted_view(train)
     dropped = [_dropped_columns(train, valid, scores, fractions, name, seed, k, order)
                for name in strategies]
@@ -224,8 +226,10 @@ def _dropped_columns(
     """Per fraction, the id-sorted columns that ``strategy`` drops, each drop checked."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if any(not 0.0 <= f < 1.0 for f in fractions) or sorted(fractions) != fractions:
-        raise ValueError("fractions must be ascending and lie in [0, 1)")
+    if any(not 0.0 <= f < 1.0 for f in fractions) or any(
+        b <= a for a, b in zip(fractions, fractions[1:])
+    ):
+        raise ValueError("fractions must be strictly ascending and lie in [0, 1)")
     check_aligned(scores, train)
     check_same_dimension(train, valid)
     if strategy == "hardest":
@@ -268,7 +272,7 @@ def load_labels_column_csv(path: str | Path, column: str) -> tuple[np.ndarray, n
 
 def _id_table(path: str | Path, column: str) -> tuple[_io.Table, int]:
     table = _io.read_csv(path)
-    if not table.n_rows:
+    if not table.has_rows:
         raise ValueError(f"no rows in {path}")
     header = table.header
     if header[0] != "id" or column not in header:

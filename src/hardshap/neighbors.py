@@ -51,8 +51,11 @@ def id_sorted_view(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, labels, original positions) with rows reordered by ascending id.
 
     In this view the column tie-break of the kernels below is the id
-    tie-break.
+    tie-break. Rows already in id order (every file without an id column)
+    come back as the dataset's own read-only arrays, not copied.
     """
+    if (ds.ids[1:] > ds.ids[:-1]).all():
+        return ds.features, ds.labels, np.arange(ds.n)
     order = np.argsort(ds.ids)
     return ds.features[order], ds.labels[order], order
 

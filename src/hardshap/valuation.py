@@ -174,9 +174,10 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
 
     Runs in O(n (d + log n)) per test point and is deterministic for any
     thread count: each block of QUERY_CHUNK test rows gives one train-length
-    sum, and the block sums are added in block order. Memory is a few
-    train-length rows per thread, never a (QUERY_CHUNK, n) block, plus the
-    block sums, which are kept until the pass ends.
+    sum, and the block sums are added to a 0.0 start in block order. Blocks
+    run in waves of ``threads``, each wave's sums added as it ends, so
+    memory is a few train-length rows per thread, never a (QUERY_CHUNK, n)
+    block, whatever the number of test rows.
     """
     _check_valuation_inputs(train, test, k)
     X, y, orig_pos = id_sorted_view(train)
@@ -187,9 +188,14 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
         rows = _contribution_rows(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
         return _train_sum(rows, hi - lo, train.n)
 
-    sums = parallel_map(block_sum, list(fixed_chunks(test.n, QUERY_CHUNK)), threads)
+    blocks = list(fixed_chunks(test.n, QUERY_CHUNK))
+    total = np.zeros(train.n)
+    wave = max(threads, 1)
+    for start in range(0, len(blocks), wave):
+        for block_total in parallel_map(block_sum, blocks[start:start + wave], threads):
+            total += block_total
     scores = np.empty(train.n)
-    scores[orig_pos] = sum(sums, np.zeros(train.n)) / test.n
+    scores[orig_pos] = total / test.n
     return ValuationScores(scores, train.ids, "knn_shapley", {"k": k})
 
 
@@ -330,10 +336,14 @@ def tmc_shapley(
     )
 
 
+def hardness_order(scores: ValuationScores) -> np.ndarray:
+    """Positions by ascending score (hardest first), ties by ascending id."""
+    return np.lexsort((scores.ids, scores.scores))
+
+
 def rank_by_hardness(scores: ValuationScores) -> np.ndarray:
     """Ids sorted by ascending score (hardest first), ties by ascending id."""
-    order = np.lexsort((scores.ids, scores.scores))
-    return scores.ids[order]
+    return scores.ids[hardness_order(scores)]
 
 
 def check_aligned(scores: ValuationScores, ds: Dataset) -> None:
@@ -360,9 +370,9 @@ def save_scores_csv(
     Rank 0 is the hardest point. The sidecar holds the params one
     ``key=value`` per line.
     """
-    rank_of = {i: r for r, i in enumerate(rank_by_hardness(scores).tolist())}
-    columns = zip(scores.ids.tolist(), scores.scores.tolist())
-    rows = ((i, s, rank_of[i], scores.method) for i, s in columns)
+    ranks = np.empty(scores.n, dtype=np.int64)
+    ranks[hardness_order(scores)] = np.arange(scores.n)
+    rows = ((*row, scores.method) for row in _io.array_rows(scores.ids, scores.scores, ranks))
     _io.write_csv(path, ["id", "score", "rank", "method"], rows, [header_comment])
     with open(f"{path}.meta", "w", encoding="utf-8") as fh:
         fh.write(f"method={scores.method}\n")
@@ -373,7 +383,7 @@ def save_scores_csv(
 def load_scores_csv(path: str | Path) -> ValuationScores:
     path = Path(path)
     table = _io.read_csv(path)
-    if not table.n_rows:
+    if not table.has_rows:
         raise ValueError(f"no score rows in {path}")
     header = table.header
     if header[:2] != ["id", "score"] or "method" not in header:

@@ -429,11 +429,21 @@ class TestRemovalCurve:
     @pytest.mark.parametrize("fractions", [[0.0, 0.1, 0.3], [0.1, 0.2], [0.0], [0.001, 0.2]])
     def test_strategies_in_one_call_match_one_call_each(self, data, fractions):
         train, valid, scores = data
-        strategies = ["random", "hardest", "random"]
+        strategies = ["random", "hardest"]
         assert removal_curve(train, valid, scores, fractions, strategies, 5, 7) == [
             removal_curve(train, valid, scores, fractions, [strategy], 5, 7)[0]
             for strategy in strategies]
         assert removal_curve(train, valid, scores, fractions, [], 5, 7) == []
+
+    def test_repeated_fraction_rejected(self, data):
+        train, valid, scores = data
+        with pytest.raises(ValueError, match="fractions must be strictly ascending"):
+            removal_curve(train, valid, scores, [0.0, 0.0, 0.1], ["hardest"], 0)
+
+    def test_repeated_strategy_rejected(self, data):
+        train, valid, scores = data
+        with pytest.raises(ValueError, match="strategies must not repeat a value"):
+            removal_curve(train, valid, scores, [0.0, 0.1], ["hardest", "random", "hardest"], 0)
 
     def test_strategies_are_checked_as_one_call_each(self, data):
         train, valid, scores = data

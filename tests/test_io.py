@@ -3,18 +3,27 @@
 ``Table.columns`` parses float columns with ``np.loadtxt`` and falls back
 to ``Table.strict_columns`` (``csv.reader`` and ``float``/``int`` cell by
 cell) on any input it cannot vouch for. On every text both must return
-bit-equal arrays, or raise the same exception with the same message.
+bit-equal arrays, or raise the same exception with the same message,
+whatever the chunk size ``CSV_ROWS`` that both read the file in.
 """
 
 import csv
+import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardshap import _io
 from hardshap._io import Table, _csv_rows
 from hardshap.dataset import Dataset, load_csv, save_csv
+
+# Chunks of 1, 2 and 3 lines put the generated texts' chunk boundaries
+# everywhere: before and after the header, comments and ragged rows.
+CHUNK_SIZES = (1, 2, 3, _io.CSV_ROWS)
 
 TRICKY_CELLS = (
     "-0.0", "1e-320", "1e400", "-1e400", "nan", "-nan", "NaN", "inf", "-Infinity",
@@ -75,6 +84,15 @@ def csv_texts(draw):
     return text
 
 
+def text_table(text):
+    """A Table over text, as ``read_csv`` gives one over a file."""
+    return Table(lambda: io.StringIO(text, newline=""))
+
+
+def _reference_rows(text):
+    return list(_csv_rows(io.StringIO(text, newline="")))
+
+
 def _same(a, b):
     if isinstance(a, np.ndarray):
         return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -102,11 +120,17 @@ def _assert_readers_agree(table, **columns):
 @settings(max_examples=400, deadline=None)
 @given(csv_texts())
 def test_fast_reader_matches_strict_reader(text):
-    table = Table(text)
-    reference = _csv_rows(text)
+    for chunk in CHUNK_SIZES:
+        with mock.patch.object(_io, "CSV_ROWS", chunk):
+            _check_fast_reader_matches_strict_reader(text)
+
+
+def _check_fast_reader_matches_strict_reader(text):
+    table = text_table(text)
+    reference = _reference_rows(text)
     assert table.header == (reference or [None])[0]
-    assert table.n_rows == max(len(reference) - 1, 0)
-    if not table.n_rows:
+    assert table.has_rows == (len(reference) > 1)
+    if not table.has_rows:
         return
     labels = table.header.index("label") if "label" in table.header else None
     ids = table.header.index("id") if "id" in table.header else None
@@ -126,21 +150,25 @@ def test_splitlines_only_breaks_are_complete():
 
 
 @pytest.mark.parametrize("sep", list(SPLITLINES_ONLY + "\x1f"))
-def test_separators_csv_does_not_break_at(sep):
-    for text in (f"f0,label\n# a{sep}1,0\n1,0\n", f"f0,label\n1{sep},0\n", f"f0,label\n{sep}\n1,0\n"):
-        table = Table(text)
-        assert table.n_rows == len(_csv_rows(text)) - 1
-        _assert_readers_agree(table, float_cols=[0], label_col=1)
+def test_separators_csv_does_not_break_at(sep, monkeypatch):
+    for chunk in CHUNK_SIZES:
+        monkeypatch.setattr(_io, "CSV_ROWS", chunk)
+        for text in (f"f0,label\n# a{sep}1,0\n1,0\n", f"f0,label\n1{sep},0\n",
+                     f"f0,label\n{sep}\n1,0\n"):
+            table = text_table(text)
+            assert table.has_rows == (len(_reference_rows(text)) > 1)
+            _assert_readers_agree(table, float_cols=[0], label_col=1)
 
 
-def test_plain_files_take_the_fast_path(tmp_path):
+def test_plain_files_take_the_fast_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(_io, "CSV_ROWS", 7)
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(50, 3)) * 1e5, rng.integers(0, 2, 50), ("a", "b", "c"),
                  rng.permutation(1000)[:50])
     path = tmp_path / "d.csv"
     save_csv(ds, path, header_comment="plain")
-    table = Table(path.read_text(encoding="utf-8"))
-    assert table._fast_columns([1, 2, 3], 0, 4) is not None
+    table = _io.read_csv(path)
+    assert len(table._fast_parts([1, 2, 3], 0, 4, None)) == 8  # 52 lines in chunks of 7
     back = load_csv(path, "label")
     assert back.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(back.ids, ds.ids) and np.array_equal(back.labels, ds.labels)
@@ -155,7 +183,7 @@ def test_plain_files_take_the_fast_path(tmp_path):
     ],
 )
 def test_strict_reader_accepts_what_float_accepts(text):
-    cols = Table(text).columns([1], id_col=0, label_col=2)
+    cols = text_table(text).columns([1], id_col=0, label_col=2)
     assert cols.floats[0, 0] == float(text.split(",")[-2].strip('"'))
 
 
@@ -174,26 +202,85 @@ def test_strict_reader_accepts_what_float_accepts(text):
 )
 def test_strict_reader_messages(body, message):
     with pytest.raises(ValueError, match=message):
-        Table("id,x,label\n" + body).columns([1], id_col=0, label_col=2)
+        text_table("id,x,label\n" + body).columns([1], id_col=0, label_col=2)
 
 
 def test_quoted_cells_are_unquoted():
-    table = Table('id,score,rank,"method"\n1,0.5,0,"knn_shapley"\n')
+    table = text_table('id,score,rank,"method"\n1,0.5,0,"knn_shapley"\n')
     assert table.header == ["id", "score", "rank", "method"]
     assert table.columns([1], id_col=0, text_col=3).text == ["knn_shapley"]
 
 
 def test_label_cells_are_checked_as_text():
-    cols = Table("x,label\n1, 1 \n2,0\n").columns([0], label_col=1)
+    cols = text_table("x,label\n1, 1 \n2,0\n").columns([0], label_col=1)
     assert cols.labels.tolist() == [1, 0]
 
 
 def test_field_over_the_csv_limit_raises_as_csv_reader_does():
     text = "x,label\n" + "1" * (csv.field_size_limit() + 1) + ",0\n"
     with pytest.raises(csv.Error, match="field larger than field limit"):
-        Table(text).columns([0], label_col=1)
+        text_table(text).columns([0], label_col=1)
 
 
 def test_id_beyond_int64_raises_overflow():
     with pytest.raises(OverflowError):
-        Table(f"id,x,label\n{2**63},1,0\n").columns([1], id_col=0, label_col=2)
+        text_table(f"id,x,label\n{2**63},1,0\n").columns([1], id_col=0, label_col=2)
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("10,x,0", "non-numeric value 'x' in column 'x' at row 10"),
+        ("10,2.5", "row 10 has 2 cells, expected 3"),
+        ('10,"2.5",1', None),  # a quote: the strict reader's result
+        ("\x0b", "row 10 has 1 cells, expected 3"),
+    ],
+)
+def test_a_late_chunk_sends_the_whole_file_to_the_strict_reader(last, message, monkeypatch):
+    # chunks of lines 1-4, 5-8 and 9-11: the first two take the fast path alone
+    monkeypatch.setattr(_io, "CSV_ROWS", 4)
+    text = "id,x,label\n" + "".join(f"{i},{i}.5,{i % 2}\n" for i in range(1, 10)) + last + "\n"
+    table = text_table(text)
+    assert table._fast_parts([1], 0, 2, None) is None
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            table.columns([1], id_col=0, label_col=2)
+        return
+    _assert_readers_agree(table, float_cols=[1], id_col=0, label_col=2)
+    cols = table.columns([1], id_col=0, label_col=2)
+    assert cols.floats[:, 0].tolist() == [i + 0.5 for i in range(1, 10)] + [2.5]
+    assert cols.ids.tolist() == list(range(1, 11))
+
+
+def _wide_file(tmp_path, n, d):
+    rng = np.random.default_rng(n)
+    ds = Dataset(rng.standard_normal((n, d)) * np.exp(rng.normal(size=d)), rng.integers(0, 2, n),
+                 tuple(f"f{j:02d}" for j in range(d)), np.arange(n))
+    return ds, tmp_path / f"wide_{n}.csv"
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_csv_peaks_near_its_result(tmp_path):
+    # the chunks' arrays, then their join and the Dataset's own copy: about twice the result
+    ds, path = _wide_file(tmp_path, 20000, 20)
+    save_csv(ds, path)
+    result = []
+    peak = _peak_bytes(lambda: result.append(load_csv(path, "label")))
+    back = result[0]
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert peak <= 2.5 * (back.features.nbytes + back.ids.nbytes + back.labels.nbytes), peak
+
+
+@pytest.mark.parametrize("n, d", [(20000, 20), (100000, 2)])
+def test_save_csv_peak_does_not_grow_with_rows(tmp_path, n, d):
+    # one chunk of CSV_ROWS rows of Python numbers at a time
+    ds, path = _wide_file(tmp_path, n, d)
+    assert _peak_bytes(lambda: save_csv(ds, path)) < 2e6

@@ -197,6 +197,28 @@ class TestStreamedTrainSums:
             tracemalloc.stop()
         assert peak < QUERY_CHUNK * train.n * 8 / 3, peak
 
+    def test_memory_does_not_grow_with_test_rows(self):
+        # each wave's block sums are added as it ends, so 100 blocks peak as 10 do
+        rng = np.random.default_rng(6)
+        train = random_dataset(rng, 5000, d=2)
+        peaks = []
+        for blocks in (10, 100):
+            test = random_dataset(rng, blocks * QUERY_CHUNK, d=2)
+            tracemalloc.start()
+            try:
+                knn_shapley(train, test, 5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
+    def test_waves_keep_the_bits(self):
+        # five blocks: two full waves of two threads and a last wave of one
+        rng = np.random.default_rng(8)
+        train, test = random_dataset(rng, 400, d=3), random_dataset(rng, 5 * QUERY_CHUNK, d=3)
+        single = knn_shapley(train, test, 5, threads=1).scores
+        assert knn_shapley(train, test, 5, threads=2).scores.tobytes() == single.tobytes()
+
 
 class TestKnnUtility:
     def test_empty_coalition(self, toy_train, toy_test):
