@@ -7,12 +7,13 @@ Labels are checked as text: after ``strip()``, exactly ``0`` or ``1``.
 No pass holds a whole file. ``read_csv`` reads the header and whether a
 data row follows it. ``Table.columns`` then reads the file CSV_ROWS lines
 at a time: float columns by ``np.loadtxt``, ids by ``int``, and each
-chunk's arrays are joined once the file is read. A chunk with text
-``np.loadtxt`` might split or parse unlike ``csv.reader`` and ``float()``
-(``_STRICT_ONLY``), or with any row the fast path rejects, sends the whole
-file to the strict reader: ``csv.reader`` over the file, with
-``float``/``int`` cell by cell, row by row. That is the reference; only it
-raises. Every pass opens and closes the file.
+chunk's arrays are joined once the file is read. A text column comes back
+as its runs of equal cells, so no pass holds one string per row. A chunk
+with text ``np.loadtxt`` might split or parse unlike ``csv.reader`` and
+``float()`` (``_STRICT_ONLY``), or with any row the fast path rejects,
+sends the whole file to the strict reader: ``csv.reader`` over the file,
+with ``float``/``int`` cell by cell, row by row. That is the reference;
+only it raises. Every pass opens and closes the file.
 
 Writers convert arrays CSV_ROWS rows at a time (``array_rows``), so
 no whole-matrix list of Python numbers is built.
@@ -40,7 +41,7 @@ class Columns(NamedTuple):
     floats: np.ndarray  # (rows, len(float_cols))
     ids: np.ndarray | None
     labels: np.ndarray | None
-    text: list[str] | None
+    text: list[tuple[int, str]] | None  # (data row number, cell) where each run starts
 
 
 class Table:
@@ -67,7 +68,7 @@ class Table:
 
     def _fast_parts(self, float_cols, id_col, label_col, text_col) -> list[Columns] | None:
         """Each chunk's columns, or None where the strict reader must decide."""
-        parts, skip = [], 1  # the first line kept is the header
+        parts, skip, done = [], 1, 0  # the first line kept is the header
         with self._open() as fh:
             for raw in _chunks(fh):
                 text = "".join(raw)
@@ -76,13 +77,16 @@ class Table:
                 lines = [line for line in text.splitlines() if line and line[0] != "#"]
                 data, skip = lines[skip:], max(skip - len(lines), 0)
                 if data:
-                    part = self._fast_part(data, float_cols, id_col, label_col, text_col)
+                    part = self._fast_part(data, done + 1, float_cols, id_col, label_col,
+                                           text_col)
                     if part is None:
                         return None
                     parts.append(part)
+                    done += len(data)
         return parts
 
-    def _fast_part(self, data, float_cols, id_col, label_col, text_col) -> Columns | None:
+    def _fast_part(self, data, first, float_cols, id_col, label_col, text_col) -> Columns | None:
+        """Columns of the data lines, the first of which is data row ``first``."""
         width = len(self.header)
         # csv.reader refuses a field longer than its limit
         if max(map(len, data)) > csv.field_size_limit() or (
@@ -108,7 +112,7 @@ class Table:
         # np.loadtxt skips none of the lines it is given; check rather than trust
         if floats.shape[0] != len(data):
             return None
-        text = None if text_col is None else _cells(data, text_col, width)
+        text = None if text_col is None else _runs(enumerate(_cells(data, text_col, width), first))
         return Columns(floats, ids, labels, text)
 
     def strict_columns(self, float_cols, id_col=None, label_col=None, text_col=None) -> Columns:
@@ -153,7 +157,8 @@ class Table:
             floats,
             None if id_col is None else ids,
             None if label_col is None else labels,
-            None if text_col is None else [row[text_col] for _, row in numbered],
+            None if text_col is None
+            else _runs((number, row[text_col]) for number, row in numbered),
         )
 
 
@@ -171,12 +176,21 @@ def _cells(lines: list[str], j: int, width: int) -> list[str]:
     return [line.split(",", j + 1)[j] for line in lines]
 
 
+def _runs(numbered_cells: Iterable[tuple[int, str]]) -> list[tuple[int, str]]:
+    """The (row number, cell) pairs whose cell differs from the row before."""
+    runs: list[tuple[int, str]] = []
+    for number, cell in numbered_cells:
+        if not runs or cell != runs[-1][1]:
+            runs.append((number, cell))
+    return runs
+
+
 def _joined(parts: list[Columns]) -> Columns:
     """One Columns from the chunks' Columns, in order."""
     return Columns(*(
         None if field[0] is None
         else np.concatenate(field) if isinstance(field[0], np.ndarray)
-        else [cell for cells in field for cell in cells]
+        else _runs(run for runs in field for run in runs)
         for field in zip(*parts)
     ))
 

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _io
-from ._util import fixed_chunks, freeze_field, parallel_map
+from ._util import cdist, fixed_chunks, freeze_field, parallel_map
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, smallest_k
 

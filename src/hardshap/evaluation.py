@@ -30,10 +30,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _io
-from ._util import fixed_chunks, parallel_map, round_half_up
+from ._util import cdist, fixed_chunks, parallel_map, round_half_up
 from .augment import GeneratorSpec, generate
 from .dataset import Dataset
 from .neighbors import (

@@ -32,14 +32,12 @@ Distances must not be NaN; ``inf`` (a masked-out pair) is allowed.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from ._util import fixed_chunks, parallel_map
+from ._util import cdist, fixed_chunks, parallel_map
 from .dataset import Dataset
 
 QUERY_CHUNK = 256
 TOP_K_CELLS = 1 << 17  # distances per top-K block: 1 MB of float64
-ORDER_ROWS = 8  # rows per stable_order call in the exact recursion
 
 
 def check_same_dimension(a: Dataset, b: Dataset) -> None:
@@ -60,20 +58,28 @@ def id_sorted_view(ds: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ds.features[order], ds.labels[order], order
 
 
-def stable_order(dist: np.ndarray) -> np.ndarray:
-    """``np.argsort(dist, axis=-1, kind="stable")`` of a row or a block, from packed keys."""
+def stable_order(dist: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.argsort(dist, axis=-1, kind="stable")`` of a row or a block, from packed keys.
+
+    ``out``, a C-contiguous int64 array of dist's shape, receives the order
+    if given. The exact recursion passes one per thread, so its sorts
+    allocate no keys.
+    """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[-1]
     low = np.uint64((1 << max(n - 1, 0).bit_length()) - 1)
-    keys = dist.view(np.uint64) & ~low | np.arange(n, dtype=np.uint64)
+    keys = np.bitwise_and(dist.view(np.uint64), ~low,
+                          out=None if out is None else out.view(np.uint64))
+    keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=-1)
     rows, row_keys = np.atleast_2d(dist, keys)
-    redo = (row_keys[:, -1:] >= np.uint64(1 << 63)).any(axis=1)  # a sign bit sorts last
+    redo = row_keys[:, -1] >= np.uint64(1 << 63)  # a sign bit sorts last
     near = ((row_keys[:, 1:] ^ row_keys[:, :-1]) <= low).any(axis=1) & ~redo
     keys &= low  # the keys become the column order
     order, row_order = keys.view(np.int64), row_keys.view(np.int64)
-    ranked = np.take_along_axis(rows[near], row_order[near], axis=1)
-    redo[near] = (ranked[:, 1:] < ranked[:, :-1]).any(axis=1)
+    if near.any():
+        ranked = np.take_along_axis(rows[near], row_order[near], axis=1)
+        redo[near] = (ranked[:, 1:] < ranked[:, :-1]).any(axis=1)
     if redo.any():
         row_order[redo] = np.argsort(rows[redo], axis=1, kind="stable")
     return order

@@ -19,18 +19,18 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import _io
-from ._util import fixed_chunks, freeze_field, hard_count, parallel_map
+from ._util import cdist, fixed_chunks, freeze_field, hard_count, parallel_map
 from .dataset import Dataset
-from .neighbors import ORDER_ROWS, QUERY_CHUNK, check_same_dimension, id_sorted_view
+from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view
 from .neighbors import rank_all, stable_order
 
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
 
 EXACT_MAX_POINTS = 16
 PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer runs in two
+ORDER_ROWS = 8  # test rows per recursion group: one per lane of numpy's pairwise sum
 
 
 @dataclass(frozen=True)
@@ -69,88 +69,99 @@ def _recursion_weights(n: int, k: int) -> np.ndarray:
     return np.minimum(k, ranks) / (ranks * k)
 
 
-def _contribution_rows(
+def _contribution_groups(
     X: np.ndarray,
     y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
     k: int,
     weights: np.ndarray,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per test row: (train columns by distance, their contributions in that order).
+) -> Iterator[np.ndarray]:
+    """Per ORDER_ROWS group of test rows: their contributions, (rows, n), by train column.
 
     X/y must be id-sorted so the (distance, column) order breaks ties by
-    ascending id; the columns index that id-sorted order. The contributions
-    come in one buffer, which the next row overwrites.
+    ascending id; the columns index that id-sorted order. Each group comes
+    in one buffer, which the next group overwrites. It holds the group's
+    distances, then its weighted steps, then its contributions.
+
+    Every numpy call takes a whole group, so there are few calls and each
+    is long enough to run without the GIL. Only the cumulative sum goes row
+    by row: numpy's 2-D and in-place ``cumsum`` hold the GIL.
     """
     n = X.shape[0]
     # Base case min(K,n)/(nK) instead of the usual 1/n keeps the recursion
     # equal to the coalition-enumeration value when n < K; both agree otherwise.
     base = min(k, n) / (n * k)
-    # Matches as int8 and distances for ORDER_ROWS rows at a time keep the
-    # per-row working set small as n grows; the values are unchanged, since
-    # match differences in {-1, 0, 1} scale the weights exactly.
-    matches = {label: (y == label).astype(np.int8) for label in np.unique(test_y)}
-    match, step = np.empty(n, dtype=np.int8), np.empty(n - 1, dtype=np.int8)
-    delta, s = np.empty(n - 1), np.empty(n)
+    # Labels and matches as int8 keep the per-group working set small; the
+    # values are unchanged, since match differences in {-1, 0, 1} scale the
+    # weights exactly.
+    labels, test_labels = y.astype(np.int8), test_y.astype(np.int8)[:, None]
+    starts = np.arange(0, ORDER_ROWS * n, n)[:, None]  # each row's offset in the flat buffer
+    buffer = np.empty(ORDER_ROWS * n)
+    step = np.empty((ORDER_ROWS, n - 1), dtype=np.int8)
+    contributions = np.empty((ORDER_ROWS, n))
+    order = np.empty((ORDER_ROWS, n), dtype=np.int64)
     for lo, hi in fixed_chunks(test_X.shape[0], ORDER_ROWS):
-        for r, idx in zip(range(lo, hi), stable_order(cdist(test_X[lo:hi], X))):
-            np.take(matches[test_y[r]], idx, out=match)
-            s[n - 1] = match[n - 1] * base
-            np.multiply(np.subtract(match[:-1], match[1:], out=step), weights, out=delta)
-            np.cumsum(delta[::-1], out=s[: n - 1][::-1])
-            s[: n - 1] += s[n - 1]
-            yield idx, s
+        rows = hi - lo
+        flat = buffer[: rows * n]
+        block = flat.reshape(rows, n)
+        idx = stable_order(cdist(test_X[lo:hi], X, out=block), out=order[:rows])
+        match = (np.take(labels, idx) == test_labels[lo:hi]).view(np.int8)
+        delta = block[:, :-1]  # the distances are spent: idx holds their order
+        np.multiply(np.subtract(match[:, :-1], match[:, 1:], out=step[:rows]), weights, out=delta)
+        s = contributions[:rows]
+        for steps, row in zip(delta, s[:, :-1]):
+            np.add.accumulate(steps[::-1], out=row[::-1])  # cumsum, with less call overhead
+        np.multiply(match[:, -1:], base, out=s[:, -1:])
+        s[:, :-1] += s[:, -1:]
+        idx += starts[:rows]
+        flat[idx] = s
+        yield block
 
 
-def _train_sum(rows: Iterator[tuple[np.ndarray, np.ndarray]], count: int, n: int) -> np.ndarray:
+def _train_sum(groups: Iterator[np.ndarray], count: int, n: int) -> np.ndarray:
     """Each train column's sum over the next ``count`` contribution rows, no block built.
 
     Bit-equal to ``sum(axis=1)`` over each column of the (count, n) block
-    copied to a contiguous row: numpy's pairwise sum, mirrored over rows as
-    they come. Each row is scattered into one train-order buffer, then added
-    to its lane with a contiguous ``+=``.
+    copied to a contiguous row: numpy's pairwise sum, mirrored over the
+    rows as they come in groups of ORDER_ROWS.
     """
-    buffer = np.empty(n)
-
-    def scattered() -> Iterator[np.ndarray]:
-        for idx, s in rows:
-            buffer[idx] = s
-            yield buffer
-
-    total = _pairwise_sum(scattered(), count, np.empty((8, n)))
+    total = _pairwise_sum(groups, count, np.empty((ORDER_ROWS, n)))
     total += 0.0  # numpy adds the pairwise sum to a 0.0 start: -0.0 becomes 0.0
     return total
 
 
-def _pairwise_sum(rows: Iterator[np.ndarray], count: int, lanes: np.ndarray) -> np.ndarray:
+def _pairwise_sum(groups: Iterator[np.ndarray], count: int, lanes: np.ndarray) -> np.ndarray:
     """numpy's pairwise sum of the next ``count`` rows, elementwise.
 
-    Fewer than 8 rows are summed in order from 0.0. Up to PAIRWISE_BLOCK
-    rows: 8 lanes seeded by the first 8 rows, each later row added to lane
-    i % 8, then ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) and the count % 8
-    leftover rows in order. Longer runs split at half the count, rounded
-    down to a multiple of 8, and add the halves' sums.
+    The rows come in groups of 8, the first aligned with row 0, and a last
+    group of the count % 8 rows left. Fewer than 8 rows are summed in order
+    from 0.0. Up to PAIRWISE_BLOCK rows: 8 lanes seeded by the first 8
+    rows, each later row added to lane i % 8, then
+    ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)) and the count % 8 leftover rows in
+    order. So each group is one lane add. Longer runs split at half the
+    count, rounded down to a multiple of 8, and add the halves' sums; every
+    split falls between groups.
     """
     if count < 8:
         total = np.zeros(lanes.shape[1])
-        for _ in range(count):
-            total += next(rows)
+        for row in next(groups):
+            total += row
         return total
     if count > PAIRWISE_BLOCK:
         half = count // 2 - count // 2 % 8
-        total = _pairwise_sum(rows, half, lanes)
-        total += _pairwise_sum(rows, count - half, lanes)
+        total = _pairwise_sum(groups, half, lanes)
+        total += _pairwise_sum(groups, count - half, lanes)
         return total
-    for lane in lanes:
-        lane[...] = next(rows)
-    for i in range(8, count - count % 8):
-        lanes[i % 8] += next(rows)
+    lanes[...] = next(groups)
+    for _ in range(1, count // 8):
+        lanes += next(groups)
     lanes[0::2] += lanes[1::2]  # l0+l1, l2+l3, l4+l5, l6+l7
     lanes[0::4] += lanes[2::4]  # (l0+l1)+(l2+l3), (l4+l5)+(l6+l7)
     total = lanes[0] + lanes[4]
-    for _ in range(count % 8):
-        total += next(rows)
+    if count % 8:
+        for row in next(groups):
+            total += row
     return total
 
 
@@ -164,8 +175,9 @@ def knn_shapley_contributions(train: Dataset, test: Dataset, k: int) -> np.ndarr
     X, y, orig_pos = id_sorted_view(train)
     weights = _recursion_weights(train.n, k)
     values = np.empty((train.n, test.n))
-    for j, (idx, s) in enumerate(_contribution_rows(X, y, test.features, test.labels, k, weights)):
-        values[orig_pos[idx], j] = s
+    groups = _contribution_groups(X, y, test.features, test.labels, k, weights)
+    for (lo, hi), group in zip(fixed_chunks(test.n, ORDER_ROWS), groups):
+        values[orig_pos, lo:hi] = group.T
     return values
 
 
@@ -176,8 +188,8 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
     thread count: each block of QUERY_CHUNK test rows gives one train-length
     sum, and the block sums are added to a 0.0 start in block order. Blocks
     run in waves of ``threads``, each wave's sums added as it ends, so
-    memory is a few train-length rows per thread, never a (QUERY_CHUNK, n)
-    block, whatever the number of test rows.
+    memory is a few (ORDER_ROWS, n) arrays per thread, never a
+    (QUERY_CHUNK, n) block, whatever the number of test rows.
     """
     _check_valuation_inputs(train, test, k)
     X, y, orig_pos = id_sorted_view(train)
@@ -185,8 +197,8 @@ def knn_shapley(train: Dataset, test: Dataset, k: int, threads: int = 1) -> Valu
 
     def block_sum(block: tuple[int, int]) -> np.ndarray:
         lo, hi = block
-        rows = _contribution_rows(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
-        return _train_sum(rows, hi - lo, train.n)
+        groups = _contribution_groups(X, y, test.features[lo:hi], test.labels[lo:hi], k, weights)
+        return _train_sum(groups, hi - lo, train.n)
 
     blocks = list(fixed_chunks(test.n, QUERY_CHUNK))
     total = np.zeros(train.n)
@@ -389,7 +401,11 @@ def load_scores_csv(path: str | Path) -> ValuationScores:
     if header[:2] != ["id", "score"] or "method" not in header:
         raise ValueError(f"unexpected scores header in {path}: {header}")
     cols = table.columns([1], id_col=0, text_col=header.index("method"))
-    method = cols.text[0]
+    (_, method), *changes = cols.text
+    if changes:
+        row, other = changes[0]
+        raise ValueError(f"mixed methods in {path}: row {row} says {other!r}, "
+                         f"the rows above it {method!r}")
     params: dict[str, object] = {}
     meta = Path(f"{path}.meta")
     if meta.exists():

@@ -190,6 +190,25 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
+def test_commands_without_distances_leave_scipy_spatial_unloaded(tmp_path):
+    # scipy.spatial costs about 0.4 s and 65 MB to import; only distances need it
+    package_root = str(Path(hardshap.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,score,rank,method\n0,0.5,1,knn_shapley\n1,-0.5,0,knn_shapley\n",
+                      encoding="utf-8")
+    code = (
+        "import sys, hardshap.cli\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "assert hardshap.cli.main(['rank', '--scores', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(scores), str(tmp_path / "rank.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\nFalse\n"), proc.stderr
+    assert (tmp_path / "rank.csv").exists()
+
+
 def test_perturb_bench_grid(tmp_path, blob_files):
     out = tmp_path / "bench.csv"
     assert main(["perturb-bench", "--train", blob_files["train"],

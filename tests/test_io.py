@@ -208,7 +208,7 @@ def test_strict_reader_messages(body, message):
 def test_quoted_cells_are_unquoted():
     table = text_table('id,score,rank,"method"\n1,0.5,0,"knn_shapley"\n')
     assert table.header == ["id", "score", "rank", "method"]
-    assert table.columns([1], id_col=0, text_col=3).text == ["knn_shapley"]
+    assert table.columns([1], id_col=0, text_col=3).text == [(1, "knn_shapley")]
 
 
 def test_label_cells_are_checked_as_text():

@@ -96,6 +96,9 @@ class TestStableOrder:
     @given(distance_blocks() | near_tie_blocks())
     def test_equals_stable_argsort(self, dist):
         assert np.array_equal(stable_order(dist), _stable(dist))
+        out = np.full(dist.shape, -1, dtype=np.int64)  # a reused buffer holds stale values
+        order = stable_order(dist, out=out)
+        assert np.shares_memory(order, out) and np.array_equal(out, _stable(dist))
 
     @settings(max_examples=400, deadline=None)
     @given(distance_blocks() | near_tie_blocks())

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from hardshap._util import hard_count
+from hardshap import _io
+from hardshap._util import fixed_chunks, hard_count
 from hardshap.dataset import Dataset
 from hardshap.neighbors import QUERY_CHUNK
 from hardshap.valuation import (
+    ORDER_ROWS,
     _train_sum,
     ValuationScores,
     exact_data_shapley,
@@ -139,10 +142,21 @@ def _train_sums(block):
 
 
 def _streamed_sums(block, rng):
-    """_train_sum over the block's rows, each fed as a shuffled (columns, values) pair."""
+    """_train_sum over the block's rows, fed as ORDER_ROWS-row groups through one buffer.
+
+    The buffer is refilled with noise before each group is copied in, so a
+    sum that read a row twice or a stale row would show.
+    """
     count, n = block.shape
-    orders = [rng.permutation(n) for _ in range(count)]
-    return _train_sum(((idx, row[idx]) for idx, row in zip(orders, block)), count, n)
+    buffer = np.empty((ORDER_ROWS, n))
+
+    def groups():
+        for lo, hi in fixed_chunks(count, ORDER_ROWS):
+            buffer[...] = rng.standard_normal(buffer.shape)
+            buffer[: hi - lo] = block[lo:hi]
+            yield buffer[: hi - lo]
+
+    return _train_sum(groups(), count, n)
 
 
 def _mixed_block(rng, count, n, zero_share):
@@ -212,12 +226,69 @@ class TestStreamedTrainSums:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_thread_holds_a_few_group_blocks(self, threads):
+        # per thread: the distance buffer, the sort keys and a temporary, the
+        # contributions and the lanes, each one (ORDER_ROWS, n) float64 block
+        rng = np.random.default_rng(9)
+        train, test = random_dataset(rng, 20000, d=2), random_dataset(rng, 2 * QUERY_CHUNK, d=2)
+        group_block = ORDER_ROWS * train.n * 8
+        tracemalloc.start()
+        try:
+            knn_shapley(train, test, 5, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * threads * group_block, peak / group_block
+
     def test_waves_keep_the_bits(self):
         # five blocks: two full waves of two threads and a last wave of one
         rng = np.random.default_rng(8)
         train, test = random_dataset(rng, 400, d=3), random_dataset(rng, 5 * QUERY_CHUNK, d=3)
         single = knn_shapley(train, test, 5, threads=1).scores
         assert knn_shapley(train, test, 5, threads=2).scores.tobytes() == single.tobytes()
+
+
+def _loop_contributions(train, test, k):
+    """The recursion one test row at a time, in plain numpy: the grouped kernel's reference."""
+    order = np.argsort(train.ids, kind="stable")
+    X, y, n = train.features[order], train.labels[order], train.n
+    ranks = np.arange(1, n, dtype=np.float64)
+    weights = np.minimum(k, ranks) / (ranks * k)
+    values = np.empty((n, test.n))
+    for j in range(test.n):
+        idx = np.argsort(cdist(test.features[j:j + 1], X)[0], kind="stable")
+        match = (y[idx] == test.labels[j]).astype(np.int8)
+        s = np.empty(n)
+        s[n - 1] = match[n - 1] * (min(k, n) / (n * k))
+        s[:n - 1] = np.cumsum(((match[:-1] - match[1:]) * weights)[::-1])[::-1] + s[n - 1]
+        values[order[idx], j] = s
+    return values
+
+
+def _lattice(rng, n, ids):
+    """Integer-lattice rows: most distances tie, and some rows repeat."""
+    return Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), rng.integers(0, 2, n),
+                   ("a", "b"), ids)
+
+
+class TestGroupAndLaneEdges:
+    """Test-row counts at the edges of ORDER_ROWS groups, numpy's 8 lanes and its
+    PAIRWISE_BLOCK split, and QUERY_CHUNK blocks, on tie-heavy rows with shuffled ids."""
+
+    @pytest.mark.parametrize("n_test", [*range(1, 18), *range(120, 137), QUERY_CHUNK - 1,
+                                        QUERY_CHUNK + 1, 2 * QUERY_CHUNK + 9])
+    def test_scores_match_the_summed_contribution_blocks(self, n_test):
+        rng = np.random.default_rng(n_test)
+        train = _lattice(rng, 90, rng.permutation(400)[:90])
+        test = _lattice(rng, n_test, rng.permutation(10 * n_test)[:n_test])
+        contrib = knn_shapley_contributions(train, test, 3)
+        assert contrib.tobytes() == _loop_contributions(train, test, 3).tobytes()
+        blocks = [contrib[:, lo:lo + QUERY_CHUNK].T for lo in range(0, n_test, QUERY_CHUNK)]
+        expected = sum((_train_sums(b) for b in blocks), np.zeros(train.n)) / n_test
+        for threads in (1, 2, 3):
+            got = knn_shapley(train, test, 3, threads=threads).scores
+            assert got.tobytes() == expected.tobytes(), threads
 
 
 class TestKnnUtility:
@@ -430,6 +501,36 @@ class TestScoresCsv:
         path.write_text(f"id,score,rank,method\n1,0.2,0,{method}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"unknown method '{method}'"):
             load_scores_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 2048])
+    @pytest.mark.parametrize("quote", ["", '"'])  # a quote sends the file to the strict reader
+    def test_mixed_methods_rejected(self, tmp_path, monkeypatch, chunk, quote):
+        monkeypatch.setattr(_io, "CSV_ROWS", chunk)
+        path = tmp_path / "s.csv"
+        path.write_text("# scores\nid,score,rank,method\n0,0.1,0,knn_shapley\n1,0.2,1,knn_shapley\n"
+                        f"2,0.3,2,{quote}knn_shapley{quote}\n3,0.4,3,tmc_shapley\n"
+                        "4,0.5,4,knn_shapley\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 4 says 'tmc_shapley', the rows above it "
+                                             "'knn_shapley'"):
+            load_scores_csv(path)
+
+    def test_method_column_costs_no_string_per_row(self, tmp_path):
+        # reading the method cells as one string per row doubled the peak
+        rng = np.random.default_rng(4)
+        n = 20000
+        path = tmp_path / "s.csv"
+        save_scores_csv(ValuationScores(rng.uniform(-1e-3, 1e-3, n), rng.permutation(10 * n)[:n],
+                                        "knn_shapley", {"k": 5}), path)
+        peaks = []
+        for read in (lambda: load_scores_csv(path),
+                     lambda: _io.read_csv(path).columns([1], id_col=0)):
+            tracemalloc.start()
+            try:
+                read()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.2 * peaks[1], peaks
 
 
 class TestTieHeavyEquivalence:
