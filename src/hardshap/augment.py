@@ -26,9 +26,9 @@ SMOTE_K = 5  # SMOTE's default neighbour count
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Which generator to run and with which parameters.
+    """Which generator ``generate``, and so ``targeted_augment``, runs, with its parameters.
 
-    smote params: k_neighbors (default SMOTE_K), seed.
+    smote params: k_neighbors (default SMOTE_K) and seed (default 0).
     external params, both required: exec_in (CSV we write the source rows to) and
     exec_out (CSV the external tool leaves the synthetic rows in).
     """
@@ -45,9 +45,6 @@ class GeneratorSpec:
         if self.kind == "external" and not (params.get("exec_in") and params.get("exec_out")):
             raise ValueError("external generator requires exec_in and exec_out paths")
         object.__setattr__(self, "params", params)
-
-    def with_seed(self, seed: int) -> "GeneratorSpec":
-        return GeneratorSpec(self.kind, {**self.params, "seed": seed})
 
 
 def _class_allocation(labels: np.ndarray, m: int) -> dict[int, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -274,7 +275,9 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
     """The rules that join two flags; ``argv`` includes the ``--config`` lines.
 
     A flag that only configures a mode the command does not run would be
-    ignored, yet logged in the output header, so it is refused.
+    ignored, yet logged in the output header, so it is refused. So is one file
+    named by two file flags: one output would be lost, or ``augment`` would
+    read back the hard rows it wrote as synthetic ones.
     """
 
     def given(*flags: str) -> str:
@@ -305,6 +308,12 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
             flags := given("--k", "--checkpoints", "--label", "--no-standardize")):
         parser.error(f"argument --probs-in: not allowed with {flags}, "
                      "which only configure --train")
+    pair = {"eval-pipeline": ("--out", "--baseline-out"), "augment": ("--exec-in", "--exec-out"),
+            "dataiq": ("--out", "--probs-out"), "perturb-bench": ("--out", "--mean-out"),
+            }.get(args.command, ())
+    paths = [getattr(args, flag[2:].replace("-", "_")) for flag in pair]
+    if paths and None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        parser.error(f"argument {pair[1]}: names the same file as {pair[0]}")
 
 
 def _header(argv: list[str], **extras: object) -> str:
@@ -326,13 +335,6 @@ def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
     if not no_standardize:
         first, others, _, _ = standardize(first, others)
     return [first, *others]
-
-
-def _generator_spec(args: argparse.Namespace, k: int) -> augment_mod.GeneratorSpec:
-    if args.generator == "smote":
-        return augment_mod.GeneratorSpec("smote", {"k_neighbors": k, "seed": args.seed})
-    return augment_mod.GeneratorSpec("external", {"exec_in": args.exec_in,
-                                                  "exec_out": args.exec_out})
 
 
 def _cmd_value(args: argparse.Namespace, argv: list[str]) -> int:
@@ -365,7 +367,9 @@ def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
-    gen = _generator_spec(args, args.k)
+    params = ({"k_neighbors": args.k, "seed": args.seed} if args.generator == "smote"
+              else {"exec_in": args.exec_in, "exec_out": args.exec_out})
+    gen = augment_mod.GeneratorSpec(args.generator, params)
     train = load_csv(args.train, args.label)
     scores = valuation.load_scores_csv(args.scores)
     augmented = augment_mod.targeted_augment(train, scores, args.tau, args.amount, gen)
@@ -394,7 +398,6 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
-    gen = _generator_spec(args, args.gen_k)
     train, valid, test = _load(args.label, args.no_standardize, args.train, args.valid, args.test)
     m = augment_mod.synthetic_rows(args.amount, hard_count(args.tau, train.n))
     scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
@@ -405,8 +408,9 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     # both arms vote against the same valid->train neighbourhood
     vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
     for arm, tau, out in arms:
-        source = valuation.hardest_subset(train, scores, tau)
-        report = evaluation.repeated_gini(vote, source, m, gen, args.replicates, args.seed,
+        draw = partial(augment_mod.smote_generate, valuation.hardest_subset(train, scores, tau),
+                       m, args.gen_k)
+        report = evaluation.repeated_gini(vote, draw, args.replicates, args.seed,
                                           threads=args.threads)
         evaluation.save_metric_report_csv(
             report, out, header_comment=_header(argv, seed=args.seed, arm=arm)

@@ -3,7 +3,8 @@
 The downstream learner is deliberately a KNN probability vote: it is
 deterministic, dependency-free, and refits instantly, which is what the
 augmentation and removal comparisons need. Externally produced probability
-files can be scored through the same metrics.
+files can be scored through the same metrics. A replicate's synthetic batch
+comes from the caller's ``draw(seed)``; this module knows no generator.
 
 Every vote ranks a query row's training columns by (distance, column) over
 the id-sorted training set, so distance ties go to the lower id. Synthetic
@@ -27,13 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _io
 from ._util import cdist, fixed_chunks, parallel_map, round_half_up
-from .augment import GeneratorSpec, generate
 from .dataset import Dataset
 from .neighbors import (
     QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
@@ -145,22 +145,24 @@ def _normal_ci(values: np.ndarray) -> tuple[float, float, float]:
 
 
 def repeated_gini(
-    vote: CachedVote, source: Dataset, m: int, generator: GeneratorSpec,
-    replicates: int, base_seed: int = 0, threads: int = 1,
+    vote: CachedVote, draw: Callable[[int], Dataset], replicates: int,
+    base_seed: int = 0, threads: int = 1,
 ) -> MetricReport:
-    """Validation Gini of augment -> fit -> score, repeated over derived seeds.
+    """Validation Gini of draw -> fit -> score, repeated over derived seeds.
 
-    Each replicate draws m rows from the generator fitted on ``source`` and
-    votes them, added to the vote's train set, against its query set. Only the
-    generator draw varies between replicates; the report carries every
-    replicate plus the mean and its 95% CI. Arms over the same sets share one vote.
+    Replicate r votes the batch ``draw(seed_r)``, added to the vote's train
+    set, against its query set. ``seed_r`` is ``int(c.generate_state(1)[0])``
+    for the r-th child c of ``SeedSequence(base_seed).spawn(replicates)``, so
+    arms with one base seed share their seeds. The report carries every
+    replicate, in order, plus the mean and its 95% CI. Arms over the same
+    sets share one vote.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a confidence interval")
     children = np.random.SeedSequence(base_seed).spawn(replicates)
 
     def one(child: np.random.SeedSequence) -> float:
-        batch = generate(source, m, generator.with_seed(int(child.generate_state(1)[0])))
+        batch = draw(int(child.generate_state(1)[0]))
         return gini(vote.predict_proba(batch), vote.query.labels)
 
     values = np.array(parallel_map(one, children, threads))

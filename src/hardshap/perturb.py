@@ -10,6 +10,7 @@ hardest-first and measuring average precision against the planted flags.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -172,7 +173,7 @@ def _characterizer_scores(
     k: int,
     n_checkpoints: int,
 ) -> np.ndarray:
-    """Lower-is-harder score vector for the perturbed working set."""
+    """Lower-is-harder score vector for the perturbed working set; ``benchmark`` checks ``name``."""
     if name == "knn_shapley":
         return knn_shapley(work, probe, k).scores
     if name == "dataiq":
@@ -180,9 +181,7 @@ def _characterizer_scores(
             work, n_checkpoints=n_checkpoints, k=k, seed=int(rng.integers(2**32))
         )
         return confidence(cp)
-    if name == "random":
-        return rng.uniform(size=work.n)
-    raise ValueError(f"unknown characterizer {name!r}")
+    return rng.uniform(size=work.n)  # random
 
 
 def _perturb(ds: Dataset, kind: str, p: float, seed: int) -> tuple[Dataset, PerturbationRecord]:
@@ -190,9 +189,7 @@ def _perturb(ds: Dataset, kind: str, p: float, seed: int) -> tuple[Dataset, Pert
         return mislabel(ds, p, seed)
     if kind == "ood":
         return ood_shift(ds, p, magnitude=3.0, seed=seed)
-    if kind == "atypical":
-        return atypical_scale(ds, p, quantile=0.99, seed=seed)
-    raise ValueError(f"unknown perturbation kind {kind!r}")
+    return atypical_scale(ds, p, quantile=0.99, seed=seed)
 
 
 def benchmark(
@@ -216,19 +213,18 @@ def benchmark(
     """
     if runs < 1:
         raise ValueError("runs must be positive")
+    # checked before any cell runs: a bad value would otherwise fail only when its cell runs
     if unknown := set(characterizers) - set(CHARACTERIZERS):
         raise ValueError(f"unknown characterizers: {sorted(unknown)}")
+    if unknown := set(kinds) - set(KINDS):
+        raise ValueError(f"unknown kinds: {sorted(unknown)}")
+    if not all(0.0 < p < 1.0 for p in proportions):
+        raise ValueError("proportions must lie in (0, 1)")
     # the mean table keys its cells by value, so a repeat would merge two cells
     given = {"kinds": kinds, "proportions": proportions, "characterizers": characterizers}
     if repeated := [name for name, values in given.items() if len(set(values)) < len(values)]:
         raise ValueError(f"{', '.join(repeated)} must not repeat a value")
-    cells = [
-        (ki, pi, run)
-        for ki in range(len(kinds))
-        for pi in range(len(proportions))
-        for run in range(runs)
-    ]
-    rows: list[BenchmarkRow] = []
+    cells = list(product(range(len(kinds)), range(len(proportions)), range(runs)))
 
     def run_cell_rows(cell: tuple[int, int, int]) -> list[BenchmarkRow]:
         ki, pi, run = cell
@@ -246,9 +242,7 @@ def benchmark(
             out.append(BenchmarkRow(kind, p, name, run, auprc(scores, record.flags)))
         return out
 
-    for cell_rows in parallel_map(run_cell_rows, cells, threads):
-        rows.extend(cell_rows)
-    return rows
+    return [row for cell_rows in parallel_map(run_cell_rows, cells, threads) for row in cell_rows]
 
 
 def _probe_split(ds: Dataset, seed: int) -> tuple[Dataset, Dataset]:

@@ -249,7 +249,6 @@ class _UtilityEvaluator:
         self.orders = rank_all(X, test.features)
         self.matches = y[self.orders] == test.labels[:, None]
         self.k = k
-        self.n = train.n
         self.n_test = test.n
 
     def utility(self, included: np.ndarray, size: int) -> float:
@@ -259,9 +258,6 @@ class _UtilityEvaluator:
         sel = included[self.orders]
         topk = sel & (np.cumsum(sel, axis=1) <= min(self.k, size))
         return float((self.matches & topk).sum()) / (self.k * self.n_test)
-
-    def full_utility(self) -> float:
-        return self.utility(np.ones(self.n, dtype=bool), self.n)
 
     def to_row_order(self, sorted_values: np.ndarray) -> np.ndarray:
         out = np.empty_like(sorted_values)
@@ -325,7 +321,7 @@ def tmc_shapley(
         raise ValueError("truncation_tol must be nonnegative")
     ev = _UtilityEvaluator(train, test, k)
     n = train.n
-    v_full = ev.full_utility()
+    v_full = ev.utility(np.ones(n, dtype=bool), n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sums = np.zeros(n)
     for _ in range(permutations):

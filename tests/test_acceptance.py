@@ -11,12 +11,13 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 import hardshap
-from hardshap.augment import GeneratorSpec
+from hardshap.augment import smote_generate
 from hardshap.dataset import Dataset
 from hardshap.evaluation import CachedVote, removal_curve, repeated_gini
 from hardshap.perturb import benchmark
@@ -183,13 +184,14 @@ def test_criterion_08_targeted_vs_nontargeted():
     start = time.perf_counter()
     train, valid, test = gen_blobs(BlobConfig(seed=0))
     scores = knn_shapley(train, test, 5)
-    gen = GeneratorSpec("smote", {"k_neighbors": 5, "seed": 0})
     vote = CachedVote(train, valid)
     budget = round(1.0 * math.ceil(0.05 * train.n))
-    targeted = repeated_gini(vote, hardest_subset(train, scores, 0.05), budget, gen, 30,
-                             base_seed=42)
-    nontargeted = repeated_gini(vote, hardest_subset(train, scores, 1.0), budget, gen, 30,
-                                base_seed=42)
+
+    def arm(tau):
+        draw = partial(smote_generate, hardest_subset(train, scores, tau), budget, 5)
+        return repeated_gini(vote, draw, 30, base_seed=42)
+
+    targeted, nontargeted = arm(0.05), arm(1.0)
     diff = np.array(targeted.replicates) - np.array(nontargeted.replicates)
     half = 1.96 * diff.std(ddof=1) / math.sqrt(len(diff))
     ci_low = diff.mean() - half

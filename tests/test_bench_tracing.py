@@ -45,7 +45,7 @@ def traced_spans(tmp_path_factory):
          "--generator", "smote", "--out", str(root / "augmented.csv")],
         ["eval-pipeline", "--train", train, "--valid", valid, "--test", test, "--tau", "0.2",
          "--amount", "1", "--generator", "smote", "--replicates", "2", "--downstream-k", "3",
-         "--out", str(root / "eval.csv")],
+         "--with-baseline", "--out", str(root / "eval.csv")],
         ["perturb-bench", "--train", train, "--runs", "1", "--proportions", "0.1",
          "--checkpoints", "2", "--out", str(root / "bench.csv")],
         ["dataiq", "--train", train, "--checkpoints", "2", "--out", str(root / "tags.csv")],
@@ -70,6 +70,25 @@ def traced_spans(tmp_path_factory):
 def test_every_traced_function_records_spans(traced_spans):
     missing = EXPECTED - {span["name"] for span in traced_spans}
     assert not missing, f"no spans for {sorted(missing)}"
+
+
+def test_pipeline_draws_are_timed_under_repeated_gini(traced_spans):
+    # the augment run also records smote spans, so each must be found under its arm
+    by_id = {span["id"]: span for span in traced_spans}
+
+    def caller(span):
+        parent = by_id.get(span["parent"])
+        while parent is not None and parent["name"] in tracing.TRANSPARENT:
+            parent = by_id.get(parent["parent"])
+        return parent
+
+    arms = [span for span in traced_spans if span["name"] == "evaluation.repeated_gini"]
+    assert len(arms) == 2  # targeted and baseline
+    for arm in arms:
+        draws = [span for span in traced_spans
+                 if span["name"] == "augment.smote_generate" and caller(span) is arm]
+        # tau 0.2 of 60 train rows at amount 1: 12 rows per replicate
+        assert [draw["rows_out"] for draw in draws] == [12, 12]
 
 
 def test_tracer_restores_every_binding():

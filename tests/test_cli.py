@@ -688,6 +688,11 @@ def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, c
 def test_flags_of_a_mode_that_is_not_selected_are_refused(tmp_path, monkeypatch, capsys,
                                                           command, flags, config, message):
     # they would be ignored, yet logged in the output header
+    _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message)
+
+
+def _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message):
+    """``command --out out.csv`` plus ``flags`` and ``config`` lines exits 2, writing nothing."""
     monkeypatch.chdir(tmp_path)
     if config is not None:
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
@@ -698,6 +703,24 @@ def test_flags_of_a_mode_that_is_not_selected_are_refused(tmp_path, monkeypatch,
     assert err.startswith(f"usage: hardshap {command} ")
     assert err.splitlines()[-1] == f"hardshap {command}: error: {message}", err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command, flags, config, message", [
+    ("eval-pipeline", ["--with-baseline", "--baseline-out", "./out.csv"], None,
+     "argument --baseline-out: names the same file as --out"),
+    ("augment", ["--generator", "external", "--exec-in", "x.csv", "--exec-out", "x.csv"], None,
+     "argument --exec-out: names the same file as --exec-in"),
+    ("dataiq", ["--probs-out", "out.csv"], None,
+     "argument --probs-out: names the same file as --out"),
+    ("perturb-bench", ["--mean-out", "sub/../out.csv"], None,
+     "argument --mean-out: names the same file as --out"),
+    ("eval-pipeline", [], "with_baseline=yes\nbaseline_out=out.csv\n",
+     "argument --baseline-out: names the same file as --out"),
+], ids=["eval-pipeline", "augment", "dataiq", "perturb-bench", "eval-pipeline-config"])
+def test_two_file_flags_naming_one_file_are_refused(tmp_path, monkeypatch, capsys,
+                                                    command, flags, config, message):
+    # one output would be lost, or augment would read back the hard rows as synthetic ones
+    _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message)
 
 
 @pytest.mark.parametrize("characterizers, extra", [

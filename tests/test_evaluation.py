@@ -1,6 +1,9 @@
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
 
@@ -14,7 +17,7 @@ from hardshap._util import round_half_up
 from hardshap.augment import (
     GeneratorSpec,
     append_batch,
-    generate,
+    smote_generate,
     synthetic_rows,
     targeted_augment,
 )
@@ -159,18 +162,29 @@ class TestNormalCi:
 
 
 class Pipeline(NamedTuple):
-    """An arm: its vote, the scores, tau and amount that pick its rows, and its generator."""
+    """An arm: its vote, the scores, tau and amount that pick its rows, and SMOTE's K."""
 
     vote: CachedVote
     scores: ValuationScores
     tau: float
     amount: float
-    generator: GeneratorSpec
+    gen_k: int
 
     def args(self) -> tuple:
-        """repeated_gini's arguments before the replicate count."""
+        """repeated_gini's arguments before the replicate count: the vote and the arm's draw."""
         source = hardest_subset(self.vote.train, self.scores, self.tau)
-        return self.vote, source, synthetic_rows(self.amount, source.n), self.generator
+        m = synthetic_rows(self.amount, source.n)
+        return self.vote, partial(smote_generate, source, m, self.gen_k)
+
+
+def _recording(draw, seeds):
+    """``draw``, appending each seed it is called with to ``seeds``."""
+
+    def record(seed):
+        seeds.append(seed)
+        return draw(seed)
+
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +199,7 @@ def pipeline():
                        ("x1", "x2"), np.arange(n))
     train, valid, test = draw(300), draw(150), draw(150)
     scores = knn_shapley(train, test, 5)
-    gen = GeneratorSpec("smote", {"k_neighbors": 2, "seed": 0})
-    return Pipeline(CachedVote(train, valid, 9), scores, 0.3, 1.0, gen)
+    return Pipeline(CachedVote(train, valid, 9), scores, 0.3, 1.0, 2)
 
 
 class TestRepeatedGini:
@@ -216,7 +229,8 @@ class TestRepeatedGini:
         children = np.random.SeedSequence(6).spawn(3)
         expected = []
         for child in children:
-            gen = pipeline.generator.with_seed(int(child.generate_state(1)[0]))
+            gen = GeneratorSpec("smote", {"k_neighbors": pipeline.gen_k,
+                                          "seed": int(child.generate_state(1)[0])})
             augmented = targeted_augment(vote.train, pipeline.scores, pipeline.tau,
                                          pipeline.amount, gen)
             probs = knn_predict_proba(augmented, vote.query, vote.k)
@@ -224,6 +238,17 @@ class TestRepeatedGini:
         for threads in (1, 4):
             report = repeated_gini(*pipeline.args(), replicates=3, base_seed=6, threads=threads)
             assert report.replicates == tuple(expected)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_draws_once_per_replicate_with_the_derived_seeds(self, pipeline, threads):
+        vote, draw = pipeline.args()
+        seeds = [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(7).spawn(5)]
+        calls = []
+        report = repeated_gini(vote, _recording(draw, calls), 5, base_seed=7, threads=threads)
+        assert sorted(calls) == sorted(seeds)
+        expected = [gini(vote.predict_proba(draw(seed)), vote.query.labels) for seed in seeds]
+        assert len(set(expected)) == len(expected)  # distinct, so the order is checked too
+        assert report.replicates == tuple(expected)
 
     def test_vote_shared_between_arms(self, pipeline):
         # one vote serves both arms, in any order, as a fresh vote per arm would
@@ -327,22 +352,29 @@ class TestMatchedBudgetArms:
         nontargeted = targeted_augment(train, scores, 1.0, _nontargeted_amount(tau, n), gen)
         assert targeted.n - n == nontargeted.n - n == _hard_rows(tau, n)
 
-    def test_arms_share_generator_seeds(self, pipeline, monkeypatch):
-        seen = {}
-
-        def recording_generate(source, m, gen):
-            # an arm's tau is its source's share of the train rows
-            seen.setdefault(source.n / pipeline.vote.train.n, []).append(gen.params["seed"])
-            return generate(source, m, gen)
-
-        monkeypatch.setattr(evaluation, "generate", recording_generate)
-        vote, hard, m, gen = pipeline.args()
+    def test_arms_share_generator_seeds(self, pipeline):
         # the baseline draws the targeted arm's m rows from every row, in hardness order
-        nontargeted = (vote, hardest_subset(vote.train, pipeline.scores, 1.0), m, gen)
-        repeated_gini(vote, hard, m, gen, replicates=4, base_seed=42)
-        repeated_gini(*nontargeted, replicates=4, base_seed=42)
-        assert len(seen[pipeline.tau]) == 4
-        assert seen[pipeline.tau] == seen[1.0]
+        baseline = pipeline._replace(tau=1.0, amount=pipeline.tau)
+        seen = []  # per arm: (m, the seeds its draw was called with)
+        for arm in (pipeline, baseline):
+            vote, draw = arm.args()
+            _, m, _ = draw.args  # partial(smote_generate, source, m, gen_k)
+            seen.append((m, []))
+            repeated_gini(vote, _recording(draw, seen[-1][1]), replicates=4, base_seed=42)
+        assert len(seen[0][1]) == 4
+        assert seen[0] == seen[1]
+
+
+def test_evaluation_imports_nothing_from_augment():
+    # the vote layer takes batches from a caller's draw and knows no generator
+    tree = ast.parse(Path(evaluation.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if "augment" in name.split(".")], imported
 
 
 @pytest.fixture(scope="module")

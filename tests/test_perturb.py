@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardshap import perturb
 from hardshap.dataset import Dataset, standardize
 from hardshap.perturb import (
     atypical_scale,
@@ -298,6 +299,21 @@ class TestBenchmark:
     def test_unknown_characterizer(self, blob_ds):
         with pytest.raises(ValueError, match="unknown characterizers"):
             benchmark(blob_ds, characterizers=("vog",))
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"kinds": ("mislabeling", "bogus")}, r"unknown kinds: \['bogus'\]"),
+        ({"proportions": (0.1, 1.5)}, r"proportions must lie in \(0, 1\)"),
+        ({"proportions": (0.1, 0.0)}, r"proportions must lie in \(0, 1\)"),
+        ({"proportions": (0.1, float("nan"))}, r"proportions must lie in \(0, 1\)"),
+    ], ids=["unknown-kind", "proportion-above-1", "proportion-0", "proportion-nan"])
+    def test_bad_kinds_and_proportions_refused_before_any_cell_runs(self, blob_ds, monkeypatch,
+                                                                    bad, message):
+        def no_cell_may_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the arguments were checked")
+
+        monkeypatch.setattr(perturb, "knn_shapley", no_cell_may_run)
+        with pytest.raises(ValueError, match=message):
+            benchmark(blob_ds, characterizers=("knn_shapley",), runs=1, **bad)
 
     @pytest.mark.parametrize("repeat", [{"kinds": ("ood", "ood")}, {"proportions": (0.1, 0.1)},
                                         {"characterizers": ("random", "random")}])
