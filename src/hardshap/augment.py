@@ -2,16 +2,18 @@
 
 SMOTE is built in: each synthetic row is a uniform point on the segment
 between a source row and one of its same-class nearest neighbors. Any
-external generator can plug in through a CSV file handshake instead.
+external program can generate instead, run once per batch on CSV files.
 Targeted augmentation fits the generator only on the hardest fraction of
 the training set and unions the synthetic rows with the original data.
 """
 
 from __future__ import annotations
 
+import re
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +31,8 @@ class GeneratorSpec:
     """Which generator ``generate``, and so ``targeted_augment``, runs, with its parameters.
 
     smote params: k_neighbors (default SMOTE_K) and seed (default 0).
-    external params, both required: exec_in (CSV we write the source rows to) and
-    exec_out (CSV the external tool leaves the synthetic rows in).
+    external params: command (required; a non-empty sequence of arguments, see
+    ``external_generate``) and seed (default 0).
     """
 
     kind: str
@@ -42,8 +44,8 @@ class GeneratorSpec:
         params = dict(self.params)
         if self.kind == "smote" and int(params.get("k_neighbors", SMOTE_K)) < 1:
             raise ValueError("smote requires k_neighbors >= 1")
-        if self.kind == "external" and not (params.get("exec_in") and params.get("exec_out")):
-            raise ValueError("external generator requires exec_in and exec_out paths")
+        if self.kind == "external" and (isinstance(cmd := params.get("command"), str) or not cmd):
+            raise ValueError("external generator needs a command: a list of arguments, not a str")
         object.__setattr__(self, "params", params)
 
 
@@ -101,27 +103,28 @@ class ExternalGeneratorError(RuntimeError):
     pass
 
 
-def external_generate(
-    source: Dataset, m: int, exec_in: str | Path, exec_out: str | Path
-) -> Dataset:
-    """File handshake with an out-of-process generator.
+def external_generate(source: Dataset, m: int, command: Sequence[str], seed: int = 0) -> Dataset:
+    """The first m rows from one run of ``command``, with no shell, in the caller's directory.
 
-    Writes the source rows to exec_in and ingests exec_out, which the
-    external tool must have produced with the same columns and a ``label``
-    column. Validates shape, label domain, and finiteness.
+    In each argument, ``{in}`` becomes a CSV of the source rows (features and ``label``) in a
+    fresh temporary directory, ``{out}`` the CSV the tool must write there, and ``{m}`` and
+    ``{seed}`` their values; other braces pass through. Width, labels and row count are checked.
     """
-    save_csv(source, exec_in, label_column="label")
-    out_path = Path(exec_out)
-    if not out_path.exists():
-        raise ExternalGeneratorError(
-            f"external generator output {out_path} not found; "
-            f"source rows were written to {exec_in}"
-        )
-    synth = load_csv(out_path, label_column="label")
+    import subprocess  # only external runs pay for it
+
+    with tempfile.TemporaryDirectory(prefix="hardshap-") as tmp:
+        fill = {"in": f"{tmp}/in.csv", "out": f"{tmp}/out.csv", "m": str(m), "seed": str(seed)}
+        save_csv(source, fill["in"], label_column="label")
+        argv = [re.sub(r"\{(in|out|m|seed)\}", lambda ph: fill[ph[1]], arg) for arg in command]
+        run = subprocess.run(argv, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        if run.returncode != 0:
+            raise ExternalGeneratorError(f"external generator {argv[0]} exited with code "
+                                         f"{run.returncode}: {run.stderr.strip()}")
+        if not Path(fill["out"]).exists():
+            raise ExternalGeneratorError(f"external generator {argv[0]} wrote no {{out}} file")
+        synth = load_csv(fill["out"], label_column="label")
     if synth.d != source.d:
-        raise ExternalGeneratorError(
-            f"external rows have {synth.d} features, source has {source.d}"
-        )
+        raise ExternalGeneratorError(f"external rows have {synth.d} features, not {source.d}")
     source_label_domain = set(np.unique(source.labels).tolist())
     if not set(np.unique(synth.labels).tolist()) <= source_label_domain:
         raise ExternalGeneratorError("external rows use labels absent from the source subset")
@@ -135,7 +138,7 @@ def generate(source: Dataset, m: int, gen: GeneratorSpec) -> Dataset:
     if gen.kind == "smote":
         k_neighbors = int(gen.params.get("k_neighbors", SMOTE_K))
         return smote_generate(source, m, k_neighbors, int(gen.params.get("seed", 0)))
-    return external_generate(source, m, str(gen.params["exec_in"]), str(gen.params["exec_out"]))
+    return external_generate(source, m, gen.params["command"], int(gen.params.get("seed", 0)))
 
 
 def append_batch(train: Dataset, batch: Dataset) -> Dataset:

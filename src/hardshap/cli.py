@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import math
 import os
+import shlex
 import sys
 from functools import partial
 from pathlib import Path
@@ -116,8 +117,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--generator", choices=augment_mod.GENERATOR_KINDS, required=True)
     p.add_argument("--k", type=_at_least(1, "K"), default=augment_mod.SMOTE_K,
                    help=f"SMOTE neighbor count (default {augment_mod.SMOTE_K})")
-    p.add_argument("--exec-in", help="external generator: where to write the hard subset")
-    p.add_argument("--exec-out", help="external generator: where to read synthetic rows")
+    p.add_argument("--exec-cmd", type=_checked(shlex.split, bool, "a command", "exec-cmd"),
+                   help="external generator: command run once, {in} {out} {m} {seed} filled in")
     p.add_argument("--out", required=True)
     common(p)
 
@@ -138,7 +139,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                    default=evaluation.DOWNSTREAM_K)
     p.add_argument("--tau", type=tau, required=True)
     p.add_argument("--amount", type=amount, required=True)
-    # one --exec-in/--exec-out pair shared by every replicate would give a zero-width CI
+    # smote only: --exec-cmd would need one run per replicate, each with its own seed
     p.add_argument("--generator", choices=("smote",), required=True)
     p.add_argument("--gen-k", type=_at_least(1, "SMOTE K"), default=augment_mod.SMOTE_K,
                    help="SMOTE neighbor count")
@@ -270,24 +271,34 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
     return [argv[0], *tokens, *argv[1:]]
 
 
+# each command's file flags besides --config, inputs first; those ending in "out" are written
+_FILE_FLAGS = {
+    "value": "--train --test --out", "rank": "--scores --out", "sim-toy": "--out",
+    "augment": "--train --scores --out", "eval": "--probs --labels --out",
+    "eval-pipeline": "--train --valid --test --out --baseline-out",
+    "perturb-bench": "--train --out --mean-out", "dataiq": "--train --probs-in --out --probs-out",
+    "removal-curve": "--train --valid --scores --out",
+}
+
+
 def _check_flag_rules(args: argparse.Namespace, argv: list[str],
                       parser: argparse.ArgumentParser) -> None:
     """The rules that join two flags; ``argv`` includes the ``--config`` lines.
 
     A flag that only configures a mode the command does not run would be
-    ignored, yet logged in the output header, so it is refused. So is one file
-    named by two file flags: one output would be lost, or ``augment`` would
-    read back the hard rows it wrote as synthetic ones.
+    ignored, yet logged in the output header, so it is refused. So is a
+    written file that another file flag names too: it would replace an input
+    before it is read, or another output.
     """
 
     def given(*flags: str) -> str:
         return ", ".join(flag for flag in flags if _given(argv, flag))
 
     if args.command == "augment":
-        if args.generator == "external" and not (args.exec_in and args.exec_out):
-            parser.error("argument --generator: external needs --exec-in and --exec-out")
-        if args.generator != "external" and (flags := given("--exec-in", "--exec-out")):
-            parser.error(f"argument --generator: {args.generator} does not take {flags}")
+        if args.generator == "external" and not args.exec_cmd:
+            parser.error("argument --generator: external needs --exec-cmd")
+        if args.generator != "external" and given("--exec-cmd"):
+            parser.error(f"argument --generator: {args.generator} does not take --exec-cmd")
         if args.generator == "external" and given("--k"):
             parser.error("argument --generator: external does not take --k, "
                          "which only configures smote")
@@ -308,12 +319,12 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
             flags := given("--k", "--checkpoints", "--label", "--no-standardize")):
         parser.error(f"argument --probs-in: not allowed with {flags}, "
                      "which only configure --train")
-    pair = {"eval-pipeline": ("--out", "--baseline-out"), "augment": ("--exec-in", "--exec-out"),
-            "dataiq": ("--out", "--probs-out"), "perturb-bench": ("--out", "--mean-out"),
-            }.get(args.command, ())
-    paths = [getattr(args, flag[2:].replace("-", "_")) for flag in pair]
-    if paths and None not in paths and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
-        parser.error(f"argument {pair[1]}: names the same file as {pair[0]}")
+    flags = ["--config", *_FILE_FLAGS.get(args.command, "").split()]
+    named = [(f, os.path.realpath(p)) for f in flags if (p := vars(args)[f[2:].replace("-", "_")])]
+    for j, (flag, path) in enumerate(named):
+        same = [earlier for earlier, other in named[:j] if other == path]
+        if flag.endswith("out") and same:
+            parser.error(f"argument {flag}: names the same file as {same[0]}")
 
 
 def _header(argv: list[str], **extras: object) -> str:
@@ -367,9 +378,8 @@ def _cmd_rank(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_augment(args: argparse.Namespace, argv: list[str]) -> int:
-    params = ({"k_neighbors": args.k, "seed": args.seed} if args.generator == "smote"
-              else {"exec_in": args.exec_in, "exec_out": args.exec_out})
-    gen = augment_mod.GeneratorSpec(args.generator, params)
+    params = {"k_neighbors": args.k} if args.generator == "smote" else {"command": args.exec_cmd}
+    gen = augment_mod.GeneratorSpec(args.generator, {**params, "seed": args.seed})
     train = load_csv(args.train, args.label)
     scores = valuation.load_scores_csv(args.scores)
     augmented = augment_mod.targeted_augment(train, scores, args.tau, args.amount, gen)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hardshap.augment import (
     targeted_augment,
     weighted_ks,
 )
+from hardshap._util import parallel_map
 from hardshap.dataset import Dataset, load_csv, save_csv
 from hardshap.valuation import ValuationScores, hardest_subset
 
@@ -175,39 +179,87 @@ class TestTargetedAugment:
 
 
 class TestExternalGenerator:
-    def test_file_handshake(self, tmp_path):
+    def test_file_handshake(self, stub_command, private_tempdir):
+        # the stub copies the rows it was given, so the batch shows what {in} held
         rng = np.random.default_rng(11)
         source = random_dataset(rng, 30, d=2)
-        exec_in = tmp_path / "hard.csv"
-        exec_out = tmp_path / "synth.csv"
-        fake = random_dataset(rng, 12, d=2)
-        save_csv(fake, exec_out, "label")
-        batch = external_generate(source, 10, exec_in, exec_out)
+        batch = external_generate(source, 10, stub_command("copy"))
         assert batch.n == 10
-        assert exec_in.exists()
-        written = load_csv(exec_in, "label")
-        assert np.array_equal(written.features, source.features)
+        assert np.array_equal(batch.features, source.features[:10])
+        assert np.array_equal(batch.labels, source.labels[:10])
+        assert list(private_tempdir.iterdir()) == []
 
-    def test_missing_output_reported(self, tmp_path):
-        rng = np.random.default_rng(12)
-        source = random_dataset(rng, 20, d=2)
-        with pytest.raises(ExternalGeneratorError, match="not found"):
-            external_generate(source, 5, tmp_path / "in.csv", tmp_path / "missing.csv")
+    def test_placeholders_are_filled_in_each_argument(self, tmp_path, monkeypatch, stub_command,
+                                                      private_tempdir):
+        monkeypatch.chdir(tmp_path)
+        source = random_dataset(np.random.default_rng(20), 12, d=3)
+        command = [*stub_command("log"), "m={m},seed={seed}", "{other} {m"]
+        batch = external_generate(source, 7, command, seed=5)
+        mode, src, out, m, seed, both, other = json.loads((tmp_path / "argv.json").read_text())
+        assert (mode, m, seed, both, other) == ("log", "7", "5", "m=7,seed=5", "{other} {m")
+        assert Path(src).parent == Path(out).parent
+        assert Path(src).parent.parent == private_tempdir
+        assert (Path(src).name, Path(out).name) == ("in.csv", "out.csv")
+        assert np.array_equal(batch.features, source.features[:7] + 5)
+        assert list(private_tempdir.iterdir()) == []
 
-    def test_label_domain_validated(self, tmp_path):
+    def test_generate_passes_the_seed(self, stub_command):
+        source = random_dataset(np.random.default_rng(21), 10, d=2)
+        for seed in (3, 4):
+            spec = GeneratorSpec("external", {"command": stub_command("copy"), "seed": seed})
+            assert np.array_equal(generate(source, 4, spec).features, source.features[:4] + seed)
+
+    def test_missing_output_reported(self, stub_command, private_tempdir):
+        source = random_dataset(np.random.default_rng(12), 20, d=2)
+        with pytest.raises(ExternalGeneratorError, match=r"wrote no \{out\} file"):
+            external_generate(source, 5, stub_command("none"))
+        assert list(private_tempdir.iterdir()) == []
+
+    def test_label_domain_validated(self, stub_command, private_tempdir):
+        # every source row has label 0, so the foreign stub's label 1 is absent from it
         rng = np.random.default_rng(13)
         source = Dataset(rng.normal(size=(10, 2)), [0] * 10, ("f0", "f1"), np.arange(10))
-        bad = random_dataset(rng, 8, d=2)  # contains label 1
-        out = tmp_path / "synth.csv"
-        save_csv(bad, out, "label")
         with pytest.raises(ExternalGeneratorError, match="labels absent"):
-            external_generate(source, 4, tmp_path / "in.csv", out)
+            external_generate(source, 4, stub_command("foreign"))
+        assert list(private_tempdir.iterdir()) == []
 
-    def test_generate_dispatch_requires_paths(self):
-        rng = np.random.default_rng(14)
-        source = random_dataset(rng, 10, d=1)
-        with pytest.raises(ValueError, match="exec_in"):
-            generate(source, 3, GeneratorSpec("external", {}))
+    @pytest.mark.parametrize("mode, message", [
+        ("short", "produced 3 rows, need 4"),
+        ("wide", "external rows have 3 features, not 2"),
+    ])
+    def test_a_bad_run_is_reported(self, stub_command, private_tempdir, mode, message):
+        source = random_dataset(np.random.default_rng(14), 10, d=2)
+        with pytest.raises(ExternalGeneratorError, match=message):
+            external_generate(source, 4, stub_command(mode))
+        assert list(private_tempdir.iterdir()) == []
+
+    def test_failure_names_the_program_and_its_stderr(self, stub_command, private_tempdir):
+        source = random_dataset(np.random.default_rng(15), 20, d=2)
+        command = stub_command("fail")
+        with pytest.raises(ExternalGeneratorError) as raised:
+            external_generate(source, 5, command)
+        assert str(raised.value) == (f"external generator {command[0]} exited with code 3: "
+                                     "stub refuses to generate")
+        assert list(private_tempdir.iterdir()) == []
+
+    def test_concurrent_calls_share_no_file(self, stub_command, private_tempdir):
+        rng = np.random.default_rng(22)
+        sources = [random_dataset(rng, n, d=2) for n in (9, 10, 11, 12)]
+        batches = parallel_map(lambda source: external_generate(source, source.n,
+                                                                stub_command("copy")),
+                               sources, threads=4)
+        for source, batch in zip(sources, batches):
+            assert np.array_equal(batch.features, source.features)
+            assert np.array_equal(batch.labels, source.labels)
+        assert list(private_tempdir.iterdir()) == []
+
+    def test_generate_dispatch_requires_a_command(self, tmp_path):
+        # a bare string would run each of its characters as an argument
+        path = str(tmp_path / "rows.csv")
+        for params in ({}, {"command": []}, {"command": ""}, {"command": "python gen.py"},
+                       {"exec_in": path, "exec_out": path}):
+            with pytest.raises(ValueError, match="needs a command"):
+                GeneratorSpec("external", params)
 
 
 class TestWeightedKs:

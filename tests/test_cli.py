@@ -1,5 +1,7 @@
+import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -191,7 +193,8 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 
 def test_commands_without_distances_leave_scipy_spatial_unloaded(tmp_path):
-    # scipy.spatial costs about 0.4 s and 65 MB to import; only distances need it
+    # scipy.spatial costs about 0.4 s and 65 MB to import; only distances need it.
+    # subprocess is only for external generators.
     package_root = str(Path(hardshap.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": package_root}
     scores = tmp_path / "scores.csv"
@@ -199,13 +202,13 @@ def test_commands_without_distances_leave_scipy_spatial_unloaded(tmp_path):
                       encoding="utf-8")
     code = (
         "import sys, hardshap.cli\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "print('scipy.spatial' in sys.modules, 'subprocess' in sys.modules)\n"
         "assert hardshap.cli.main(['rank', '--scores', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print('scipy.spatial' in sys.modules)\n"
+        "print('scipy.spatial' in sys.modules, 'subprocess' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(scores), str(tmp_path / "rank.csv")],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "False\nFalse\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "False False\nFalse False\n"), proc.stderr
     assert (tmp_path / "rank.csv").exists()
 
 
@@ -362,17 +365,14 @@ def test_eval_pipeline_refuses_a_zero_count_before_scoring(tmp_path, monkeypatch
     assert set(tmp_path.iterdir()) == written
 
 
-def test_eval_pipeline_rejects_the_external_generator(tmp_path, capsys, blob_files):
-    exec_in, exec_out, out = tmp_path / "hard.csv", tmp_path / "synth.csv", tmp_path / "r.csv"
-    save_csv(load_csv(blob_files["train"], "label"), exec_out, "label")
+def test_eval_pipeline_rejects_the_external_generator(tmp_path, capsys, blob_files, stub_command):
     code = main(["eval-pipeline", "--train", blob_files["train"], "--valid", blob_files["valid"],
                  "--test", blob_files["test"], "--tau", "0.25", "--amount", "1.0",
-                 "--generator", "external", "--exec-in", str(exec_in),
-                 "--exec-out", str(exec_out), "--with-baseline", "--threads", "2",
-                 "--out", str(out)])
+                 "--generator", "external", "--exec-cmd", shlex.join(stub_command("log")),
+                 "--with-baseline", "--threads", "2", "--out", str(tmp_path / "r.csv")])
     assert code == 2
     assert "invalid choice: 'external'" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stub_generator.py"]
 
 
 def test_sim_toy_prints_expected_value(capsys):
@@ -505,6 +505,7 @@ def test_config_values_write_the_bytes_of_their_flags(tmp_path, blob_files):
 _REQUIRED = {
     "value": ["--train", "in.csv", "--test", "in.csv", "--out"],
     "rank": ["--scores", "in.csv", "--out"],
+    "eval": ["--probs", "in.csv", "--labels", "in.csv", "--out"],
     "augment": ["--train", "in.csv", "--scores", "in.csv", "--tau", "0.5", "--amount", "1",
                 "--generator", "smote", "--out"],
     "eval-pipeline": ["--train", "in.csv", "--valid", "in.csv", "--test", "in.csv",
@@ -614,9 +615,9 @@ def test_every_parser_takes_only_full_flag_names():
     (None, "config file not found: run.cfg"),
     ("k 7\n", "run.cfg:1: expected key=value"),
     ("frobnicate=1\n", "unknown config key 'frobnicate' for augment"),
-    ("generator=external\n", "argument --generator: external needs --exec-in and --exec-out"),
-    ("generator=smote\nexec_out=synth.csv\n",
-     "argument --generator: smote does not take --exec-out"),
+    ("generator=external\n", "argument --generator: external needs --exec-cmd"),
+    ("generator=smote\nexec_cmd=gen {in} {out}\n",
+     "argument --generator: smote does not take --exec-cmd"),
 ])
 def test_usage_errors_print_the_parser_usage(tmp_path, monkeypatch, capsys, config, message):
     monkeypatch.chdir(tmp_path)
@@ -632,13 +633,13 @@ def test_usage_errors_print_the_parser_usage(tmp_path, monkeypatch, capsys, conf
 
 
 @pytest.mark.parametrize("exec_flags", [
-    ["--exec-in", "hard.csv", "--exec-out", "synth.csv"],
-    ["--exec-in=hard.csv"],
-    ["--exec-out", "synth.csv"],
+    ["--exec-cmd", "gen {in} {out}"],
+    ["--exec-cmd=gen"],
+    ["--exec-cmd", "gen 'a b' {in} {out}", "--exec-cmd", "gen {in} {out}"],
 ])
 def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, capsys, blob_files,
                                                        exec_flags):
-    # smote reads neither path, so taking them would hide a mistyped --generator
+    # smote runs no command, so taking one would hide a mistyped --generator
     monkeypatch.chdir(tmp_path)
     assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
                  "--out", "scores.csv"]) == 0
@@ -648,9 +649,8 @@ def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, c
                  *exec_flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: hardshap augment ")
-    given = ", ".join(flag.partition("=")[0] for flag in exec_flags if flag.startswith("--"))
     assert err.splitlines()[-1] == (
-        f"hardshap augment: error: argument --generator: smote does not take {given}"), err
+        "hardshap augment: error: argument --generator: smote does not take --exec-cmd"), err
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -671,10 +671,9 @@ def test_augment_exec_paths_need_the_external_generator(tmp_path, monkeypatch, c
     ("perturb-bench", ["--characterizers=random"], "checkpoints=4\n",
      "argument --characterizers: random does not take --checkpoints, "
      "which only configures dataiq"),
-    ("augment", ["--generator", "external", "--exec-in", "hard.csv", "--exec-out", "synth.csv",
-                 "--k", "9"], None,
+    ("augment", ["--generator", "external", "--exec-cmd", "gen {in} {out}", "--k", "9"], None,
      "argument --generator: external does not take --k, which only configures smote"),
-    ("augment", ["--generator=external", "--exec-in=hard.csv", "--exec-out=synth.csv"], "k=9\n",
+    ("augment", ["--generator=external", "--exec-cmd=gen {in} {out}"], "k=9\n",
      "argument --generator: external does not take --k, which only configures smote"),
     ("perturb-bench", ["--characterizers", "random", "--k", "9"], None,
      "argument --characterizers: random does not take --k, "
@@ -708,18 +707,33 @@ def _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, con
 @pytest.mark.parametrize("command, flags, config, message", [
     ("eval-pipeline", ["--with-baseline", "--baseline-out", "./out.csv"], None,
      "argument --baseline-out: names the same file as --out"),
-    ("augment", ["--generator", "external", "--exec-in", "x.csv", "--exec-out", "x.csv"], None,
-     "argument --exec-out: names the same file as --exec-in"),
+    ("augment", ["--scores", "out.csv"], None,
+     "argument --out: names the same file as --scores"),
     ("dataiq", ["--probs-out", "out.csv"], None,
      "argument --probs-out: names the same file as --out"),
     ("perturb-bench", ["--mean-out", "sub/../out.csv"], None,
      "argument --mean-out: names the same file as --out"),
     ("eval-pipeline", [], "with_baseline=yes\nbaseline_out=out.csv\n",
      "argument --baseline-out: names the same file as --out"),
-], ids=["eval-pipeline", "augment", "dataiq", "perturb-bench", "eval-pipeline-config"])
+    ("value", ["--test", "out.csv"], None, "argument --out: names the same file as --test"),
+    ("rank", ["--scores", "./out.csv"], None, "argument --out: names the same file as --scores"),
+    ("eval", ["--labels", "out.csv"], None, "argument --out: names the same file as --labels"),
+    ("eval-pipeline", ["--valid", "out.csv"], None,
+     "argument --out: names the same file as --valid"),
+    ("perturb-bench", ["--train", "out.csv"], None,
+     "argument --out: names the same file as --train"),
+    ("dataiq", ["--train", "probs.csv"], None,
+     "argument --probs-out: names the same file as --train"),
+    ("removal-curve", ["--valid", "out.csv"], None,
+     "argument --out: names the same file as --valid"),
+    ("sim-toy", ["--out", "run.cfg"], "x_train=1\n",
+     "argument --out: names the same file as --config"),
+], ids=["eval-pipeline", "augment", "dataiq", "perturb-bench", "eval-pipeline-config",
+        "value-input", "rank-input", "eval-input", "eval-pipeline-input", "perturb-bench-input",
+        "dataiq-input", "removal-curve-input", "sim-toy-config"])
 def test_two_file_flags_naming_one_file_are_refused(tmp_path, monkeypatch, capsys,
                                                     command, flags, config, message):
-    # one output would be lost, or augment would read back the hard rows as synthetic ones
+    # the written file would replace an input before it is read, or another output
     _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message)
 
 
@@ -865,26 +879,92 @@ def test_dataiq_takes_exactly_one_probability_source(tmp_path, capsys, sources, 
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_augment_external_generator_handshake(tmp_path, blob_files):
-    scores_path = tmp_path / "scores.csv"
+def test_augment_external_generator_handshake(tmp_path, monkeypatch, blob_files, stub_command,
+                                              private_tempdir):
+    monkeypatch.chdir(tmp_path)
     assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
-                 "--k", "5", "--out", str(scores_path)]) == 0
-    exec_in = tmp_path / "hard.csv"
-    exec_out = tmp_path / "synth.csv"
-    out = tmp_path / "aug.csv"
-    args = ["augment", "--train", blob_files["train"], "--scores", str(scores_path),
-            "--tau", "0.25", "--amount", "0.5", "--generator", "external",
-            "--exec-in", str(exec_in), "--exec-out", str(exec_out), "--out", str(out)]
-    # first call: the external tool has not produced anything yet
-    assert main(args) == 1
-    assert exec_in.exists()
-    hard = load_csv(exec_in, "label")
-    assert hard.n == 60
-    # "external tool": echo the hard subset back with jitter-free copies
-    save_csv(Dataset(hard.features, hard.labels, hard.feature_names,
-                     np.arange(hard.n)), exec_out, "label")
-    assert main(args) == 0
-    assert load_csv(out, "label").n == 240 + 30
+                 "--k", "5", "--out", "scores.csv"]) == 0
+    train = load_csv(blob_files["train"], "label")
+    scores = load_scores_csv(tmp_path / "scores.csv")
+    hard = valuation.hardest_subset(train, scores, 0.25)
+    for seed in (3, 4):
+        assert main(["augment", "--train", blob_files["train"], "--scores", "scores.csv",
+                     "--tau", "0.25", "--amount", "0.5", "--generator", "external",
+                     "--exec-cmd", shlex.join(stub_command("log")), "--seed", str(seed),
+                     "--out", f"aug{seed}.csv"]) == 0
+        _, src, out, m, got_seed = json.loads((tmp_path / "argv.json").read_text())
+        assert (Path(src).parent.parent, Path(out).parent) == (private_tempdir, Path(src).parent)
+        assert (m, got_seed) == ("30", str(seed))
+        augmented = load_csv(tmp_path / f"aug{seed}.csv", "label")
+        assert augmented.n == 240 + 30
+        assert np.array_equal(augmented.features[240:], hard.features[:30] + seed)
+        assert np.array_equal(augmented.labels[240:], hard.labels[:30])
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_augment_exec_cmd_from_a_config_line(tmp_path, monkeypatch, blob_files, stub_command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--out", "scores.csv"]) == 0
+    (tmp_path / "run.cfg").write_text(
+        f"generator=external\nexec_cmd={shlex.join(stub_command('log'))}\nseed=7\n",
+        encoding="utf-8")
+    assert main(["augment", "--train", blob_files["train"], "--scores", "scores.csv",
+                 "--tau", "0.1", "--amount", "1", "--config", "run.cfg", "--out", "aug.csv"]) == 0
+    assert json.loads((tmp_path / "argv.json").read_text())[3:] == ["24", "7"]
+    assert load_csv(tmp_path / "aug.csv", "label").n == 240 + 24
+
+
+def test_augment_exec_cmd_runs_without_a_shell(tmp_path, monkeypatch, blob_files, stub_command):
+    # ";" starts no second command, "$(...)" substitutes nothing and "*" globs nothing
+    monkeypatch.chdir(tmp_path)
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--out", "scores.csv"]) == 0
+    extra = [";", "touch", "semicolon", "$(touch substituted)", "*"]
+    assert main(["augment", "--train", blob_files["train"], "--scores", "scores.csv",
+                 "--tau", "0.1", "--amount", "1", "--generator", "external",
+                 "--exec-cmd", shlex.join(stub_command("log", *extra)), "--out", "aug.csv"]) == 0
+    assert json.loads((tmp_path / "argv.json").read_text())[5:] == extra
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "argv.json", "aug.csv", "scores.csv", "scores.csv.meta", "stub_generator.py"]
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("fail", "exited with code 3: stub refuses to generate"),
+    ("none", "wrote no {out} file"),
+    ("short", "external generator produced 9 rows, need 10"),
+    ("wide", "external rows have 3 features, not 2"),
+    ("foreign", "external rows use labels absent from the source subset"),
+])
+def test_augment_external_failures_exit_1_and_write_nothing(tmp_path, monkeypatch, capsys,
+                                                            stub_command, private_tempdir,
+                                                            mode, message):
+    # every training row has label 0, so the foreign stub's label 1 is absent from it
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    train = Dataset(rng.normal(size=(40, 2)), np.zeros(40, dtype=int), ("x1", "x2"), np.arange(40))
+    save_csv(train, "train.csv", "label")
+    valuation.save_scores_csv(
+        valuation.ValuationScores(rng.normal(size=40), train.ids, "tmc_shapley", {}), "scores.csv")
+    before = sorted(tmp_path.iterdir())
+    assert main(["augment", "--train", "train.csv", "--scores", "scores.csv", "--tau", "0.25",
+                 "--amount", "1", "--generator", "external",
+                 "--exec-cmd", shlex.join(stub_command(mode)), "--out", "aug.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: augment: ") and err.rstrip().endswith(message), err
+    assert sorted(tmp_path.iterdir()) == before
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_augment_empty_exec_cmd_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["augment", *_REQUIRED["augment"][:-3], "--generator", "external",
+                 "--exec-cmd", "", "--out", "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap augment")
+    assert err.splitlines()[-1] == (
+        "hardshap augment: error: argument --exec-cmd: exec-cmd must be a command, got ''"), err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_toy_custom_grid(capsys):
