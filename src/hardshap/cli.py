@@ -271,13 +271,14 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
     return [argv[0], *tokens, *argv[1:]]
 
 
-# each command's file flags besides --config, inputs first; those ending in "out" are written
+# each command's file flags besides --config, inputs first; those ending in "out" are
+# written, and FLAG.meta is the sidecar that value --out writes and --scores reads
 _FILE_FLAGS = {
-    "value": "--train --test --out", "rank": "--scores --out", "sim-toy": "--out",
-    "augment": "--train --scores --out", "eval": "--probs --labels --out",
-    "eval-pipeline": "--train --valid --test --out --baseline-out",
+    "value": "--train --test --out --out.meta", "rank": "--scores --scores.meta --out",
+    "augment": "--train --scores --scores.meta --out", "eval": "--probs --labels --out",
+    "eval-pipeline": "--train --valid --test --out --baseline-out", "sim-toy": "--out",
     "perturb-bench": "--train --out --mean-out", "dataiq": "--train --probs-in --out --probs-out",
-    "removal-curve": "--train --valid --scores --out",
+    "removal-curve": "--train --valid --scores --scores.meta --out",
 }
 
 
@@ -288,7 +289,8 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
     A flag that only configures a mode the command does not run would be
     ignored, yet logged in the output header, so it is refused. So is a
     written file that another file flag names too: it would replace an input
-    before it is read, or another output.
+    before it is read, or another output. Default output names and sidecars
+    count too, so ``args`` carries the resolved defaults.
     """
 
     def given(*flags: str) -> str:
@@ -319,12 +321,18 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
             flags := given("--k", "--checkpoints", "--label", "--no-standardize")):
         parser.error(f"argument --probs-in: not allowed with {flags}, "
                      "which only configure --train")
-    flags = ["--config", *_FILE_FLAGS.get(args.command, "").split()]
-    named = [(f, os.path.realpath(p)) for f in flags if (p := vars(args)[f[2:].replace("-", "_")])]
-    for j, (flag, path) in enumerate(named):
-        same = [earlier for earlier, other in named[:j] if other == path]
+    named = []
+    for token in ["--config", *_FILE_FLAGS.get(args.command, "").split()]:
+        flag, dot, suffix = token.partition(".")
+        if path := vars(args)[flag[2:].replace("-", "_")]:
+            path += dot + suffix
+            label = (f"{flag} (sidecar {path})" if dot else
+                     flag if _given(argv, flag) else f"{flag} (default {path})")
+            named.append((flag, label, os.path.realpath(path)))
+    for j, (flag, label, path) in enumerate(named):
+        same = [earlier for _, earlier, other in named[:j] if other == path]
         if flag.endswith("out") and same:
-            parser.error(f"argument {flag}: names the same file as {same[0]}")
+            parser.error(f"argument {label}: names the same file as {same[0]}")
 
 
 def _header(argv: list[str], **extras: object) -> str:
@@ -333,11 +341,11 @@ def _header(argv: list[str], **extras: object) -> str:
     dropped = set()
     for i in _given(argv, "--threads"):
         dropped.update((i, i + 1) if argv[i] == "--threads" else (i,))
-    parts = ["hardshap", *(token for i, token in enumerate(argv) if i not in dropped)]
+    # quoted so the logged command reruns as written
+    line = shlex.join(["hardshap", *(token for i, token in enumerate(argv) if i not in dropped)])
     if extras:
-        parts.append("|")
-        parts.extend(f"{k}={v}" for k, v in sorted(extras.items()))
-    return " ".join(str(p) for p in parts)
+        line += " | " + " ".join(f"{k}={v}" for k, v in sorted(extras.items()))
+    return line
 
 
 def _load(label: str, no_standardize: bool, *paths: str) -> list[Dataset]:
@@ -414,7 +422,7 @@ def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     arms = [("targeted", args.tau, args.out)]
     if args.with_baseline:
         # the same m rows from every row, in hardness order: SMOTE picks rows by position
-        arms.append(("baseline", 1.0, args.baseline_out or f"{args.out}.baseline.csv"))
+        arms.append(("baseline", 1.0, args.baseline_out))
     # both arms vote against the same valid->train neighbourhood
     vote = evaluation.CachedVote(train, valid, args.downstream_k, threads=args.threads)
     for arm, tau, out in arms:
@@ -438,8 +446,7 @@ def _cmd_perturb_bench(args: argparse.Namespace, argv: list[str]) -> int:
     )
     header = _header(argv, seed=args.seed)
     perturb.save_benchmark_csv(rows, args.out, header_comment=header)
-    mean_out = args.mean_out or f"{args.out}.mean.csv"
-    perturb.save_benchmark_mean_csv(rows, mean_out, header_comment=header)
+    perturb.save_benchmark_mean_csv(rows, args.mean_out, header_comment=header)
     return 0
 
 
@@ -532,6 +539,10 @@ def main(argv: list[str] | None = None) -> int:
         args, unknown = parser.parse_known_args(expanded)
         if unknown:  # leftovers after the subcommand are its error, with its usage line
             sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+        if args.command == "perturb-bench" and not args.mean_out:
+            args.mean_out = f"{args.out}.mean.csv"
+        if args.command == "eval-pipeline" and args.with_baseline and not args.baseline_out:
+            args.baseline_out = f"{args.out}.baseline.csv"
         _check_flag_rules(args, expanded, sub.choices[args.command])
         return _COMMANDS[args.command](args, argv)
     except SystemExit as exc:  # the parser's exit: 2 after one error line, 0 after --help

@@ -113,28 +113,22 @@ def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Da
     """Seeded three-way split preserving class prevalence in every part.
 
     Rows of each class are shuffled with the seeded PRNG and dealt to the
-    parts by largest-remainder quota, so per-part prevalence is within
-    1/|part| of the overall prevalence. Parts are disjoint by id and their
-    union is the input.
+    parts in order by largest-remainder quota, so per-part prevalence is
+    within 1/|part| of the overall prevalence. A class too small to give
+    every part a row is refused. Each part keeps its rows in input order;
+    parts are disjoint by id and their union is the input.
     """
     ds.require_both_classes("stratified_split")
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    part_positions: list[list[int]] = [[], [], []]
+    dealt = []
     for cls in (0, 1):
         members = np.flatnonzero(ds.labels == cls)
         shuffled = members[rng.permutation(len(members))]
         counts = largest_remainder(len(members), [len(members) * f for f in spec.fractions])
         if min(counts) == 0:
             raise ValueError(f"class {cls} too small to appear in every split part")
-        offset = 0
-        for part, count in enumerate(counts):
-            part_positions[part].extend(shuffled[offset:offset + count].tolist())
-            offset += count
-    parts = []
-    for positions in part_positions:
-        if not positions:
-            raise ValueError("degenerate fractions: empty split part")
-        parts.append(ds.take(np.sort(np.asarray(positions, dtype=np.intp))))
+        dealt.append(np.split(shuffled, np.cumsum(counts)[:-1]))
+    parts = [ds.take(np.sort(np.concatenate(pair))) for pair in zip(*dealt)]
     return parts[0], parts[1], parts[2]
 
 

@@ -97,7 +97,8 @@ def atypical_scale(
 
     Each selected row is moved along its own offset from the class mean so
     its diagonal Mahalanobis radius equals the clean per-class radius at
-    `quantile`. Labels stay valid; the rows just become rare.
+    `quantile`; a row at the mean moves along a random direction, drawn per
+    class in draw order. Labels stay valid; the rows just become rare.
     """
     if not 0.9 < quantile < 1.0:
         raise ValueError("quantile must lie in (0.9, 1)")
@@ -114,16 +115,13 @@ def atypical_scale(
         offsets = ds.features[members] - mean
         radii = np.sqrt(((offsets**2) / safe_var).sum(axis=1))
         target = float(np.quantile(radii, quantile))
-        for row in rows:
-            if ds.labels[row] != cls:
-                continue
-            offset = ds.features[row] - mean
-            radius = float(np.sqrt(((offset**2) / safe_var).sum()))
-            if radius == 0.0:
-                direction = rng.standard_normal(ds.d) * np.sqrt(safe_var)
-                radius = float(np.sqrt(((direction**2) / safe_var).sum()))
-                offset = direction
-            features[row] = mean + offset * (target / radius)
+        picked = rows[ds.labels[rows] == cls]  # in draw order
+        moved = ds.features[picked] - mean
+        radius = np.sqrt(((moved**2) / safe_var).sum(axis=1))
+        for i in np.flatnonzero(radius == 0.0):  # at the class mean: a random direction
+            moved[i] = rng.standard_normal(ds.d) * np.sqrt(safe_var)
+            radius[i] = np.sqrt(((moved[i] ** 2) / safe_var).sum())
+        features[picked] = mean + moved * (target / radius)[:, None]
     flags = np.zeros(ds.n, dtype=bool)
     flags[rows] = True
     return ds.with_features(features), PerturbationRecord(flags, "atypical", p, seed)

@@ -268,33 +268,26 @@ class _UtilityEvaluator:
 def exact_data_shapley(train: Dataset, test: Dataset, k: int) -> ValuationScores:
     """Brute-force data Shapley over all coalitions under the KNN utility.
 
-    Marginal contributions are weighted by inverse binomial coefficients and
-    averaged over the n insertion slots; terms accumulate in ascending
-    subset-size order so repeated runs agree bit for bit. Refuses n > 16.
+    Each point's marginal on each coalition is weighted by an inverse
+    binomial coefficient; a coalition that holds the point adds 0.0. One
+    cumulative sum over the coalitions in ascending (size, mask) order adds
+    the terms in a fixed order, so repeated runs agree bit for bit, and
+    ``+ 0.0`` turns an all-zero sum's -0.0 into 0.0. Refuses n > 16.
     """
     n = train.n
     if n > EXACT_MAX_POINTS:
         raise ValueError(f"exact enumeration limited to n <= {EXACT_MAX_POINTS}, got {n}")
     ev = _UtilityEvaluator(train, test, k)
-    bit_positions = np.arange(n)
-    util = np.empty(1 << n)
-    popcount = np.empty(1 << n, dtype=np.int64)
-    for mask in range(1 << n):
-        included = (mask >> bit_positions) & 1 == 1
-        size = int(bin(mask).count("1"))
-        popcount[mask] = size
-        util[mask] = ev.utility(included, size)
-    inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)])
-    masks_by_size = sorted(range(1 << n), key=lambda m: (popcount[m], m))
-    phi_sorted = np.empty(n)
-    for i in range(n):
-        bit = 1 << i
-        acc = 0.0
-        for mask in masks_by_size:
-            if mask & bit:
-                continue
-            acc += (util[mask | bit] - util[mask]) * inv_binom[popcount[mask]]
-        phi_sorted[i] = acc / n
+    coalitions = np.arange(1 << n)
+    bits = 1 << np.arange(n)
+    masks = coalitions[:, None] & bits != 0
+    sizes = masks.sum(axis=1)
+    util = np.array([ev.utility(mask, size) for mask, size in zip(masks, sizes)])
+    # index n weights the full coalition, whose marginals are all 0.0
+    inv_binom = np.array([1.0 / math.comb(n - 1, s) for s in range(n)] + [0.0])
+    marginals = (util[coalitions[:, None] | bits] - util[:, None]) * inv_binom[sizes][:, None]
+    ordered = marginals[np.lexsort((coalitions, sizes))]
+    phi_sorted = (np.cumsum(ordered, axis=0)[-1] + 0.0) / n
     return ValuationScores(ev.to_row_order(phi_sorted), train.ids, "exact_shapley", {"k": k})
 
 

@@ -728,13 +728,66 @@ def _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, con
      "argument --out: names the same file as --valid"),
     ("sim-toy", ["--out", "run.cfg"], "x_train=1\n",
      "argument --out: names the same file as --config"),
+    ("perturb-bench", ["--train", "out.csv.mean.csv"], None,
+     "argument --mean-out (default out.csv.mean.csv): names the same file as --train"),
+    ("eval-pipeline", ["--with-baseline", "--test", "out.csv.baseline.csv"], None,
+     "argument --baseline-out (default out.csv.baseline.csv): names the same file as --test"),
+    ("eval-pipeline", ["--valid", "out.csv.baseline.csv"], "with_baseline=yes\n",
+     "argument --baseline-out (default out.csv.baseline.csv): names the same file as --valid"),
+    ("value", ["--train", "out.csv.meta"], None,
+     "argument --out (sidecar out.csv.meta): names the same file as --train"),
+    ("rank", ["--scores", "s.csv", "--out", "s.csv.meta"], None,
+     "argument --out: names the same file as --scores (sidecar s.csv.meta)"),
+    ("augment", ["--scores", "s.csv", "--out", "./s.csv.meta"], None,
+     "argument --out: names the same file as --scores (sidecar s.csv.meta)"),
+    ("removal-curve", ["--scores", "s.csv", "--out", "s.csv.meta"], None,
+     "argument --out: names the same file as --scores (sidecar s.csv.meta)"),
 ], ids=["eval-pipeline", "augment", "dataiq", "perturb-bench", "eval-pipeline-config",
         "value-input", "rank-input", "eval-input", "eval-pipeline-input", "perturb-bench-input",
-        "dataiq-input", "removal-curve-input", "sim-toy-config"])
+        "dataiq-input", "removal-curve-input", "sim-toy-config", "perturb-bench-default",
+        "eval-pipeline-default", "eval-pipeline-default-config", "value-sidecar",
+        "rank-sidecar", "augment-sidecar", "removal-curve-sidecar"])
 def test_two_file_flags_naming_one_file_are_refused(tmp_path, monkeypatch, capsys,
                                                     command, flags, config, message):
     # the written file would replace an input before it is read, or another output
     _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message)
+
+
+def test_every_output_flag_is_under_the_same_file_rule():
+    # a new output flag missing from _FILE_FLAGS would slip past the rule
+    _, sub = cli._build_parser()
+    missing = [(command, action.option_strings[0])
+               for command, p in sub.choices.items() for action in p._actions
+               if action.dest.endswith("out")
+               and action.option_strings[0] not in cli._FILE_FLAGS.get(command, "").split()]
+    assert missing == []
+
+
+def _header_argv(path: Path) -> list[str]:
+    line = path.read_text(encoding="utf-8").splitlines()[0]
+    assert line.startswith("# hardshap ")
+    return shlex.split(line[2:].partition(" | ")[0])
+
+
+def test_header_with_a_spaced_path_splits_back_to_the_argv(tmp_path, monkeypatch, blob_files):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sp ace").mkdir()
+    (tmp_path / "sp ace" / "tr.csv").write_bytes(Path(blob_files["train"]).read_bytes())
+    argv = ["value", "--train", "sp ace/tr.csv", "--test", blob_files["test"], "--k", "3"]
+    assert main([*argv, "--threads", "2", "--out", "it's.csv"]) == 0
+    assert _header_argv(tmp_path / "it's.csv") == ["hardshap", *argv, "--out", "it's.csv"]
+
+
+def test_header_with_an_exec_cmd_splits_back_to_the_argv(tmp_path, monkeypatch, blob_files,
+                                                         stub_command):
+    monkeypatch.chdir(tmp_path)
+    assert main(["value", "--train", blob_files["train"], "--test", blob_files["test"],
+                 "--out", "scores.csv"]) == 0
+    argv = ["augment", "--train", blob_files["train"], "--scores", "scores.csv", "--tau", "0.1",
+            "--amount", "1", "--generator", "external",
+            "--exec-cmd", shlex.join(stub_command("copy", "a b")), "--out", "aug.csv"]
+    assert main([*argv, "--threads=2"]) == 0
+    assert _header_argv(tmp_path / "aug.csv") == ["hardshap", *argv]
 
 
 @pytest.mark.parametrize("characterizers, extra", [

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hardshap._util import largest_remainder
 from hardshap.augment import append_batch
 from hardshap.dataiq import CheckpointProbs
 from hardshap.dataset import Dataset, SplitSpec, load_csv, save_csv, standardize, stratified_split
@@ -173,12 +174,62 @@ class TestStratifiedSplit:
                      [1, 1] + [0] * 8, ("a",), np.arange(10))
         with pytest.raises(ValueError, match="too small"):
             stratified_split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
+        # the refusal names the class, either one; at 3 rows every part gets both classes
+        for small in (0, 1):
+            for rows in (2, 3):
+                labels = np.full(12, 1 - small)
+                labels[:rows] = small
+                ds = Dataset(np.arange(12.0)[:, None], labels, ("a",), np.arange(12))
+                if rows == 2:
+                    with pytest.raises(ValueError, match=f"^class {small} too small to appear "
+                                                         "in every split part$"):
+                        stratified_split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0))
+                    continue
+                for part in stratified_split(ds, SplitSpec(0.5, 0.25, 0.25, seed=0)):
+                    assert set(part.labels.tolist()) == {0, 1}
+
+    def test_matches_the_dealing_loop(self):
+        rng = np.random.default_rng(47)
+        for _ in range(150):
+            n = int(rng.integers(6, 400))
+            labels = (rng.random(n) < rng.uniform(0.02, 0.98)).astype(int)
+            labels[:2] = [0, 1]
+            ds = Dataset(rng.normal(size=(n, 2)), labels, ("a", "b"), rng.permutation(3 * n)[:n])
+            f = rng.uniform(0.05, 1.0, 3)
+            f_train, f_valid = (f[:2] / f.sum()).tolist()
+            spec = SplitSpec(f_train, f_valid, 1.0 - f_train - f_valid, int(rng.integers(2**32)))
+            try:
+                expected = _loop_stratified_split(ds, spec)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    stratified_split(ds, spec)
+                continue
+            for got, want in zip(stratified_split(ds, spec), expected):
+                for field in ("features", "labels", "ids"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
     def test_degenerate_fractions_rejected(self):
         with pytest.raises(ValueError):
             SplitSpec(1.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             SplitSpec(0.5, 0.3, 0.3)
+
+
+def _loop_stratified_split(ds, spec):
+    """stratified_split dealing each class's shuffled rows into the parts one slice at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    part_positions = [[], [], []]
+    for cls in (0, 1):
+        members = np.flatnonzero(ds.labels == cls)
+        shuffled = members[rng.permutation(len(members))]
+        counts = largest_remainder(len(members), [len(members) * f for f in spec.fractions])
+        if min(counts) == 0:
+            raise ValueError(f"class {cls} too small to appear in every split part")
+        offset = 0
+        for part, count in enumerate(counts):
+            part_positions[part].extend(shuffled[offset:offset + count].tolist())
+            offset += count
+    return [ds.take(np.sort(np.asarray(p, dtype=np.intp))) for p in part_positions]
 
 
 class TestStandardize:

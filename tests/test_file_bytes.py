@@ -7,7 +7,9 @@ tie-heavy lattice also pins the AUPRCs themselves, Data-IQ's included, and
 one ``dataiq`` run on the same lattice pins its raw bagged probabilities,
 which an AUPRC could hide. One ``value`` run on lattices nudged by a few
 ulps pins exact scores whose every distance row needs the stable re-sort of
-``neighbors.stable_order``. The fixtures pin cell text (shortest-repr floats,
+``neighbors.stable_order``. One ``value --method exact_shapley`` run on a
+12-row lattice with distance ties pins the coalition-enumeration oracle. The
+fixtures pin cell text (shortest-repr floats,
 ``-0.0``, subnormals, exponents), header quoting, comment lines and line
 endings (``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
 
@@ -50,6 +52,8 @@ FILES = (
     "probs_bagged.csv",
     "near_scores.csv",
     "near_scores.csv.meta",
+    "exact.csv",
+    "exact.csv.meta",
 )
 
 
@@ -115,6 +119,13 @@ def write_all(out: Path) -> None:
         t % 2, ("x1", "x2"), t)
     save_csv(near_train, out / "near_train.csv")
     save_csv(near_test, out / "near_test.csv")
+    # 12 rows on 6 lattice points, so every test row sees tied distances;
+    # the test rows sit on and between the points.
+    i, t = np.arange(12), np.arange(7)
+    save_csv(Dataset(np.column_stack([i % 3, i // 3 % 2]).astype(float), (i * 5 + i // 4) % 2,
+                     ("x1", "x2"), i), out / "exact_train.csv")
+    save_csv(Dataset(np.column_stack([t % 4 * 0.5, t // 4 * 0.75]), t * 3 % 2,
+                     ("x1", "x2"), t), out / "exact_test.csv")
     cwd = os.getcwd()
     os.chdir(out)
     try:
@@ -132,6 +143,8 @@ def write_all(out: Path) -> None:
              "--probs-out", "probs_bagged.csv", "--out", "tags_bagged.csv"],
             ["value", "--train", "near_train.csv", "--test", "near_test.csv", "--k", "3",
              "--no-standardize", "--out", "near_scores.csv"],
+            ["value", "--train", "exact_train.csv", "--test", "exact_test.csv", "--k", "3",
+             "--method", "exact_shapley", "--no-standardize", "--out", "exact.csv"],
         )
         for argv in calls:
             if main(argv) != 0:

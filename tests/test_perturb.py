@@ -132,10 +132,65 @@ class TestAtypicalScale:
         with pytest.raises(ValueError, match="quantile"):
             atypical_scale(ds, 0.1, quantile=0.5, seed=0)
 
+    def test_rows_at_the_class_mean_match_the_row_loop(self):
+        # symmetric integer rows put each class mean exactly on some rows,
+        # which then move along a random direction drawn in draw order
+        at_mean = 0
+        for case in range(40):
+            rng = np.random.default_rng(300 + case)
+            d = 1 + case % 12
+            blocks, labels = [], []
+            for cls in (0, 1):
+                V = rng.integers(-3, 4, size=(int(rng.integers(2, 12)), d)).astype(float)
+                block = np.vstack([V, -V, np.zeros((int(rng.integers(1, 6)), d))]) + 4.0 * cls
+                blocks.append(block)
+                labels += [cls] * len(block)
+            order = rng.permutation(len(labels))
+            ds = Dataset(np.vstack(blocks)[order], np.array(labels)[order],
+                         tuple(f"f{j}" for j in range(d)), np.arange(len(labels)))
+            p, seed = float(rng.uniform(0.2, 0.8)), case
+            out, record = atypical_scale(ds, p, quantile=0.95, seed=seed)
+            assert out.features.tobytes() == _loop_atypical_features(ds, p, 0.95, seed).tobytes()
+            at_mean += int((record.flags & (ds.features == 4.0 * ds.labels[:, None]).all(1)).sum())
+        assert at_mean > 40
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 16, 30])
+    def test_matches_the_row_loop(self, d):
+        rng = np.random.default_rng(d)
+        ds = random_dataset(rng, 150, d=d)
+        ds = ds.with_features(ds.features * rng.uniform(0.1, 10.0, d))
+        out, _ = atypical_scale(ds, 0.3, quantile=0.97, seed=d)
+        assert out.features.tobytes() == _loop_atypical_features(ds, 0.3, 0.97, d).tobytes()
+
     def test_singleton_class_rejected(self):
         ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 1], ("a",), [0, 1, 2])
         with pytest.raises(ValueError, match="single member"):
             atypical_scale(ds, 0.34, quantile=0.95, seed=0)
+
+
+def _loop_atypical_features(ds, p, quantile, seed):
+    """atypical_scale's moved features, one picked row at a time per class."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = perturb._pick_rows(ds.n, p, rng)
+    features = ds.features.copy()
+    for cls in np.unique(ds.labels):
+        members = np.flatnonzero(ds.labels == cls)
+        mean = ds.features[members].mean(axis=0)
+        var = ds.features[members].var(axis=0)
+        safe_var = np.where(var == 0, 1.0, var)
+        radii = np.sqrt((((ds.features[members] - mean) ** 2) / safe_var).sum(axis=1))
+        target = float(np.quantile(radii, quantile))
+        for row in rows:
+            if ds.labels[row] != cls:
+                continue
+            offset = ds.features[row] - mean
+            radius = float(np.sqrt(((offset**2) / safe_var).sum()))
+            if radius == 0.0:
+                direction = rng.standard_normal(ds.d) * np.sqrt(safe_var)
+                radius = float(np.sqrt(((direction**2) / safe_var).sum()))
+                offset = direction
+            features[row] = mean + offset * (target / radius)
+    return features
 
 
 def _loop_auprc(scores, flags):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hardshap.neighbors import QUERY_CHUNK
 from hardshap.valuation import (
     ORDER_ROWS,
     _train_sum,
+    _UtilityEvaluator,
     ValuationScores,
     exact_data_shapley,
     hardest_subset,
@@ -266,6 +268,26 @@ def _loop_contributions(train, test, k):
     return values
 
 
+def _loop_exact_shapley(train, test, k):
+    """exact_data_shapley's sums as a loop over points and size-ordered coalitions."""
+    n = train.n
+    ev = _UtilityEvaluator(train, test, k)
+    util = np.array([ev.utility((mask >> np.arange(n)) & 1 == 1, bin(mask).count("1"))
+                     for mask in range(1 << n)])
+    inv_binom = [1.0 / math.comb(n - 1, s) for s in range(n)]
+    masks_by_size = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+    phi_sorted = np.empty(n)
+    for i in range(n):
+        bit = 1 << i
+        acc = 0.0
+        for mask in masks_by_size:
+            if mask & bit:
+                continue
+            acc += (util[mask | bit] - util[mask]) * inv_binom[bin(mask).count("1")]
+        phi_sorted[i] = acc / n
+    return ev.to_row_order(phi_sorted)
+
+
 def _lattice(rng, n, ids):
     """Integer-lattice rows: most distances tie, and some rows repeat."""
     return Dataset(rng.integers(0, 4, size=(n, 2)).astype(float), rng.integers(0, 2, n),
@@ -330,6 +352,19 @@ class TestExactDataShapley:
         test = random_dataset(rng, 3, d=2)
         scores = exact_data_shapley(train, test, 1).scores
         assert scores[0] == scores[1]
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 16])
+    def test_matches_the_coalition_loop(self, n):
+        # random features at even n, tie-heavy lattice rows with shuffled ids at odd n
+        rng = np.random.default_rng(100 + n)
+        k = 1 + n % 5
+        if n % 2:
+            train = _lattice(rng, n, rng.permutation(3 * n)[:n])
+            test = _lattice(rng, 5, np.arange(5))
+        else:
+            train, test = random_dataset(rng, n, d=2), random_dataset(rng, 4, d=2)
+        got = exact_data_shapley(train, test, k).scores
+        assert got.tobytes() == _loop_exact_shapley(train, test, k).tobytes()
 
     def test_size_guard(self):
         rng = np.random.default_rng(37)
