@@ -1,4 +1,4 @@
-"""Small shared helpers: fixed-order threading, count rounding, frozen arrays and distances.
+"""Small shared helpers: fixed-order threading, share counts, frozen arrays and distances.
 
 Work is split into chunks whose boundaries do not depend on the thread
 count, and results come back in submission order, so any reduction over
@@ -64,15 +64,11 @@ def largest_remainder(total: int, quotas: Sequence[float]) -> list[int]:
     return counts
 
 
-def round_half_up(x: float) -> int:
-    """round() with half-up ties; keeps tiny perturbation quotas from vanishing."""
-    return int(math.floor(x + 0.5))
+def share_count(share: float, n: int, up: bool = False) -> int:
+    """share*n rows, share read as the decimal it prints as, rounded half up or (``up``) up.
 
-
-def hard_count(tau: float, n: int) -> int:
-    """ceil(tau*n) with tau read as the decimal it prints as.
-
-    Float products overshoot (0.07 * 100 is 7.000000000000001), which would
-    make the ceiling one row too many.
+    Float products land beside the decimal: 0.7 * 45 is 31.499999999999996,
+    not 31.5, and 0.07 * 100 is 7.000000000000001, not 7.
     """
-    return math.ceil(Fraction(repr(tau)) * n)
+    exact = Fraction(repr(float(share))) * n
+    return math.ceil(exact) if up else math.floor(exact + Fraction(1, 2))

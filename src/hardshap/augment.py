@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import largest_remainder, round_half_up
+from ._util import largest_remainder, share_count
 from .dataset import Dataset, load_csv, save_csv
 from .neighbors import check_same_dimension, k_nearest
 from .valuation import ValuationScores, hardest_subset
@@ -159,10 +159,10 @@ def append_batch(train: Dataset, batch: Dataset) -> Dataset:
 
 
 def synthetic_rows(amount: float, n: int) -> int:
-    """round(amount * n): the rows drawn at ``amount`` synthetic rows per source row."""
+    """``share_count(amount, n)``: the rows drawn at ``amount`` synthetic rows per source row."""
     if amount <= 0:
         raise ValueError("amount must be positive")
-    m = round_half_up(amount * n)
+    m = share_count(amount, n)
     if m == 0:
         raise ValueError(f"amount {amount} of {n} hard rows rounds to zero synthetic rows")
     return m
@@ -171,7 +171,7 @@ def synthetic_rows(amount: float, n: int) -> int:
 def targeted_augment(
     train: Dataset, scores: ValuationScores, tau: float, amount: float, gen: GeneratorSpec
 ) -> Dataset:
-    """Train, then ``synthetic_rows(amount, ceil(tau*n))`` rows fitted on its tau-hardest rows.
+    """Train, then ``synthetic_rows(amount, m)`` rows fitted on its m tau-hardest rows.
 
     Original rows and ids are untouched; tau=1 is the non-targeted baseline.
     """

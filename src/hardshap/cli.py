@@ -27,7 +27,7 @@ from . import _io
 from . import augment as augment_mod
 from . import dataiq as dataiq_mod
 from . import evaluation, perturb, sim, valuation
-from ._util import hard_count
+from ._util import share_count
 from .dataset import Dataset, load_csv, save_csv, standardize
 
 T = TypeVar("T")
@@ -292,6 +292,8 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
     before it is read, or another output. Default output names and sidecars
     count too, so ``args`` carries the resolved defaults.
     """
+    if broken := [token for token in argv if "\n" in token or "\r" in token]:
+        parser.error(f"argument {broken[0]!r}: a line break would split the output header")
 
     def given(*flags: str) -> str:
         return ", ".join(flag for flag in flags if _given(argv, flag))
@@ -417,7 +419,7 @@ def _cmd_eval(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_eval_pipeline(args: argparse.Namespace, argv: list[str]) -> int:
     train, valid, test = _load(args.label, args.no_standardize, args.train, args.valid, args.test)
-    m = augment_mod.synthetic_rows(args.amount, hard_count(args.tau, train.n))
+    m = augment_mod.synthetic_rows(args.amount, share_count(args.tau, train.n, up=True))
     scores = valuation.knn_shapley(train, test, args.k, threads=args.threads)
     arms = [("targeted", args.tau, args.out)]
     if args.with_baseline:

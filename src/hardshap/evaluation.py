@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _io
-from ._util import cdist, fixed_chunks, parallel_map, round_half_up
+from ._util import cdist, fixed_chunks, parallel_map, share_count
 from .dataset import Dataset
 from .neighbors import (
     QUERY_CHUNK, check_k, check_same_dimension, id_sorted_view, k_nearest, smallest_k,
@@ -240,7 +240,7 @@ def _dropped_columns(
         ranked = train.ids[rng.permutation(train.n)]
     dropped = []
     for fraction in fractions:
-        keep_mask = ~np.isin(train.ids, ranked[:round_half_up(fraction * train.n)])
+        keep_mask = ~np.isin(train.ids, ranked[:share_count(fraction, train.n)])
         if np.unique(train.labels[keep_mask]).size < 2:
             raise ValueError(f"removing {fraction:.0%} leaves a single-class training set")
         check_k(k, int(keep_mask.sum()))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _io
-from ._util import freeze_field, parallel_map, round_half_up
+from ._util import freeze_field, parallel_map, share_count
 from .dataiq import bagged_checkpoint_probs, confidence
 from .dataset import Dataset, SplitSpec, stratified_split
 from .valuation import knn_shapley
@@ -30,7 +30,7 @@ PROBE_FRACTION = 0.2  # share of each run held out as the clean probe set
 
 @dataclass(frozen=True)
 class PerturbationRecord:
-    """Which rows were perturbed, how, and under which seed."""
+    """Which ``share_count(proportion, n)`` rows were perturbed, how, and under which seed."""
 
     flags: np.ndarray
     kind: str
@@ -41,22 +41,22 @@ class PerturbationRecord:
         flags = freeze_field(self, "flags", bool)
         if self.kind not in KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
-        expected = round_half_up(self.proportion * flags.shape[0])
+        expected = share_count(self.proportion, flags.shape[0])
         if int(flags.sum()) != expected:
-            raise ValueError("flag count does not match round(proportion * n)")
+            raise ValueError("flag count does not match share_count(proportion, n)")
 
 
 def _pick_rows(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 < p < 1.0:
         raise ValueError("proportion must lie in (0, 1)")
-    count = round_half_up(p * n)
+    count = share_count(p, n)
     if count == 0 or count == n:
         raise ValueError(f"proportion {p} rounds to {count} of {n} rows")
     return rng.choice(n, size=count, replace=False)
 
 
 def mislabel(ds: Dataset, p: float, seed: int = 0) -> tuple[Dataset, PerturbationRecord]:
-    """Flip the labels of round(p*n) uniformly chosen rows."""
+    """Flip the labels of ``share_count(p, n)`` uniformly chosen rows."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = _pick_rows(ds.n, p, rng)
     labels = ds.labels.copy()
@@ -69,7 +69,7 @@ def mislabel(ds: Dataset, p: float, seed: int = 0) -> tuple[Dataset, Perturbatio
 def ood_shift(
     ds: Dataset, p: float, magnitude: float, seed: int = 0
 ) -> tuple[Dataset, PerturbationRecord]:
-    """Shift round(p*n) rows by magnitude * stddev along a random unit direction.
+    """Shift ``share_count(p, n)`` rows by magnitude * stddev along a random unit direction.
 
     The per-feature population stddev of ds sets the scale, so the shift is
     comparable across features regardless of units; labels are untouched.
@@ -93,7 +93,7 @@ def ood_shift(
 def atypical_scale(
     ds: Dataset, p: float, quantile: float, seed: int = 0
 ) -> tuple[Dataset, PerturbationRecord]:
-    """Rescale round(p*n) rows about their class mean out to a tail radius.
+    """Rescale ``share_count(p, n)`` rows about their class mean out to a tail radius.
 
     Each selected row is moved along its own offset from the class mean so
     its diagonal Mahalanobis radius equals the clean per-class radius at
@@ -167,18 +167,19 @@ def _characterizer_scores(
     name: str,
     work: Dataset,
     probe: Dataset,
-    rng: np.random.Generator,
+    score_seed: int,
     k: int,
     n_checkpoints: int,
 ) -> np.ndarray:
     """Lower-is-harder score vector for the perturbed working set; ``benchmark`` checks ``name``."""
     if name == "knn_shapley":
         return knn_shapley(work, probe, k).scores
+    # the cell's stream afresh, drawn in CHARACTERIZERS order, so no scores hang on the others
+    rng = np.random.default_rng(np.random.SeedSequence(score_seed))
+    dataiq_seed = int(rng.integers(2**32))
     if name == "dataiq":
-        cp = bagged_checkpoint_probs(
-            work, n_checkpoints=n_checkpoints, k=k, seed=int(rng.integers(2**32))
-        )
-        return confidence(cp)
+        return confidence(bagged_checkpoint_probs(work, n_checkpoints=n_checkpoints, k=k,
+                                                  seed=dataiq_seed))
     return rng.uniform(size=work.n)  # random
 
 
@@ -233,10 +234,9 @@ def benchmark(
         )
         work, probe = _probe_split(ds, split_seed)
         perturbed, record = _perturb(work, kind, p, perturb_seed)
-        rng = np.random.default_rng(np.random.SeedSequence(score_seed))
         out = []
         for name in characterizers:
-            scores = _characterizer_scores(name, perturbed, probe, rng, k, n_checkpoints)
+            scores = _characterizer_scores(name, perturbed, probe, score_seed, k, n_checkpoints)
             out.append(BenchmarkRow(kind, p, name, run, auprc(scores, record.flags)))
         return out
 

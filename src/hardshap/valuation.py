@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from . import _io
-from ._util import cdist, fixed_chunks, freeze_field, hard_count, parallel_map
+from ._util import cdist, fixed_chunks, freeze_field, parallel_map, share_count
 from .dataset import Dataset
 from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view
 from .neighbors import rank_all, stable_order
@@ -354,11 +354,11 @@ def check_aligned(scores: ValuationScores, ds: Dataset) -> None:
 
 
 def hardest_subset(ds: Dataset, scores: ValuationScores, tau: float) -> Dataset:
-    """The ceil(tau*n) hardest rows of ds, in hardness order, ids preserved."""
+    """The ``share_count(tau, n, up=True)`` hardest rows of ds, in hardness order, ids preserved."""
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must lie in (0, 1]")
     check_aligned(scores, ds)
-    m = hard_count(tau, ds.n)
+    m = share_count(tau, ds.n, up=True)
     hard_ids = rank_by_hardness(scores)[:m]
     return ds.take(ds.positions_of(hard_ids))
 

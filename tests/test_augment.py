@@ -125,6 +125,20 @@ class TestSmoteAgainstFullGraph:
                 )
 
 
+class TestSyntheticRows:
+    @pytest.mark.parametrize("amount, n, expected", [(0.7, 45, 32), (2.3, 25, 58)])
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_amount_is_read_as_its_decimal(self, amount, n, expected, cast):
+        # 0.7 * 45 is 31.499999999999996 in floats; the decimal 31.5 rounds half up to 32
+        assert synthetic_rows(cast(amount), n) == expected
+
+    def test_exact_half_sizes_the_appended_batch(self):
+        train = random_dataset(np.random.default_rng(11), 450, d=2)
+        out = targeted_augment(train, scored(train), 0.1, 0.7,
+                               GeneratorSpec("smote", {"k_neighbors": 1, "seed": 0}))
+        assert out.n == 450 + 32
+
+
 class TestTargetedAugment:
     def test_paper_sizing(self):
         rng = np.random.default_rng(6)

@@ -790,6 +790,31 @@ def test_header_with_an_exec_cmd_splits_back_to_the_argv(tmp_path, monkeypatch, 
     assert _header_argv(tmp_path / "aug.csv") == ["hardshap", *argv]
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["newline", "carriage-return"])
+def test_a_token_holding_a_line_break_is_refused(tmp_path, monkeypatch, capsys, blob_files, brk):
+    # the header logs argv on one comment line; a break would leave half of it uncommented
+    monkeypatch.chdir(tmp_path)
+    name = f"n{brk}l.csv"
+    (tmp_path / name).write_bytes(Path(blob_files["train"]).read_bytes())
+    assert main(["value", "--train", name, "--test", blob_files["test"], "--out", "s.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hardshap value ")
+    assert err.endswith(f"hardshap value: error: argument {name!r}: "
+                        "a line break would split the output header\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def test_augment_reads_the_amount_as_its_decimal(tmp_path, monkeypatch):
+    # 45 hard rows at 0.7 per row: 31.5 as written, 31.499999999999996 as a float product
+    monkeypatch.chdir(tmp_path)
+    assert main(["sim-blobs", "--seed", "0", "--n-train", "450", "--n-valid", "10",
+                 "--n-test", "60", "--out-prefix", "b"]) == 0
+    assert main(["value", "--train", "b_train.csv", "--test", "b_test.csv", "--out", "s.csv"]) == 0
+    assert main(["augment", "--train", "b_train.csv", "--scores", "s.csv", "--tau", "0.1",
+                 "--amount", "0.7", "--generator", "smote", "--k", "1", "--out", "a.csv"]) == 0
+    assert load_csv("a.csv", "label").n == 450 + 32
+
+
 @pytest.mark.parametrize("characterizers, extra", [
     ("knn_shapley,random", []), ("dataiq", ["--checkpoints", "2"])])
 def test_perturb_bench_takes_k_when_a_characterizer_reads_it(tmp_path, blob_files,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardshap import evaluation, neighbors
-from hardshap._util import round_half_up
+from hardshap._util import share_count
 from hardshap.augment import (
     GeneratorSpec,
     append_batch,
@@ -525,6 +525,18 @@ class TestRemovalCurve:
             tracemalloc.stop()
         assert peak < QUERY_CHUNK * train.n * 8 / 3, peak
 
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_fraction_is_read_as_its_decimal(self, data, cast):
+        # 0.29 * 50 is 14.499999999999998 in floats; the decimal 14.5 drops 15 rows
+        train, valid, _ = data
+        train = train.take(np.arange(50))
+        scores = knn_shapley(train, valid, 3)
+        kept = train.take(np.flatnonzero(~np.isin(train.ids, rank_by_hardness(scores)[:15])))
+        assert kept.n == 35
+        fraction = cast(0.29)
+        assert removal_curve(train, valid, scores, [fraction], ["hardest"], 0, 3)[0] == [
+            (fraction, gini(knn_predict_proba(kept, valid, 3), valid.labels))]
+
     def test_errors_in_fraction_order(self, data):
         train, valid, scores = data
         with pytest.raises(ValueError, match="K=400 out of range for 360 training rows"):
@@ -539,7 +551,7 @@ def _refit_curve(train, valid, scores, fractions, strategy, seed, k):
     shuffled = train.ids[rng.permutation(train.n)]
     curve = []
     for fraction in fractions:
-        drop = round_half_up(fraction * train.n)
+        drop = share_count(fraction, train.n)
         doomed = order[:drop] if strategy == "hardest" else shuffled[:drop]
         kept = train.take(np.flatnonzero(~np.isin(train.ids, doomed)))
         curve.append((fraction, gini(knn_predict_proba(kept, valid, k), valid.labels)))

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from hardshap import perturb
 from hardshap.dataset import Dataset, standardize
 from hardshap.perturb import (
+    CHARACTERIZERS,
+    PerturbationRecord,
     atypical_scale,
     auprc,
     benchmark,
@@ -53,6 +57,16 @@ class TestMislabel:
         labels = once.labels.copy()
         labels[record.flags] = 1 - labels[record.flags]
         assert np.array_equal(labels, ds.labels)
+
+    @pytest.mark.parametrize("cast", [float, np.float64])
+    def test_proportion_is_read_as_its_decimal(self, cast):
+        # 0.35 * 90 is 31.499999999999996 in floats; the decimal 31.5 rounds half up to 32
+        ds = random_dataset(np.random.default_rng(5), 90)
+        _, record = mislabel(ds, cast(0.35), seed=1)
+        assert record.flags.sum() == 32
+        assert PerturbationRecord(np.arange(90) < 32, "mislabeling", 0.35, 1).flags.sum() == 32
+        with pytest.raises(ValueError, match="flag count does not match"):
+            PerturbationRecord(np.arange(90) < 31, "mislabeling", 0.35, 1)
 
     def test_degenerate_proportion(self):
         ds = random_dataset(np.random.default_rng(3), 10)
@@ -350,6 +364,17 @@ class TestBenchmark:
         b = benchmark(blob_ds, **kwargs)
         c = benchmark(blob_ds, threads=4, **kwargs)
         assert a == b == c
+
+    def test_scores_do_not_depend_on_the_other_characterizers(self, blob_ds):
+        kwargs = dict(kinds=("mislabeling",), proportions=(0.1,), runs=1, seed=0,
+                      n_checkpoints=4)
+        alone = {name: benchmark(blob_ds, characterizers=(name,), **kwargs)[0].auprc
+                 for name in CHARACTERIZERS}
+        for size in (2, 3):
+            for selection in permutations(CHARACTERIZERS, size):
+                rows = benchmark(blob_ds, characterizers=selection, **kwargs)
+                assert {row.characterizer: row.auprc for row in rows} == {
+                    name: alone[name] for name in selection}, selection
 
     def test_unknown_characterizer(self, blob_ds):
         with pytest.raises(ValueError, match="unknown characterizers"):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from hardshap import _io
-from hardshap._util import fixed_chunks, hard_count
+from hardshap._util import fixed_chunks, share_count
 from hardshap.dataset import Dataset
 from hardshap.neighbors import QUERY_CHUNK
 from hardshap.valuation import (
@@ -480,8 +480,12 @@ class TestHardestSubset:
     def test_decimal_tau_not_overshot(self, n, expected):
         # 0.07 * 100 is 7.000000000000001 in floats
         ds, scores = self.make(n)
-        assert hard_count(0.07, n) == expected
+        assert share_count(0.07, n, up=True) == expected
         assert hardest_subset(ds, scores, 0.07).n == expected
+
+    def test_numpy_tau_is_read_as_its_decimal(self):
+        ds, scores = self.make(100)
+        assert hardest_subset(ds, scores, np.float64(0.07)).n == 7
 
     def test_tau_bounds(self):
         ds, scores = self.make(10)
