@@ -35,7 +35,6 @@ from .perturb import (
 from .sim import (
     BlobConfig,
     gen_blobs,
-    gen_toy_mixture,
     toy_1nn_shapleys,
     toy_expected_shapley,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "confidence",
     "exact_data_shapley",
     "gen_blobs",
-    "gen_toy_mixture",
     "gini",
     "hardest_subset",
     "knn_predict_proba",

@@ -70,5 +70,8 @@ def share_count(share: float, n: int, up: bool = False) -> int:
     Float products land beside the decimal: 0.7 * 45 is 31.499999999999996,
     not 31.5, and 0.07 * 100 is 7.000000000000001, not 7.
     """
-    exact = Fraction(repr(float(share))) * n
+    share = float(share)
+    if not math.isfinite(share):
+        raise ValueError(f"share of {n} rows must be finite, got {share!r}")
+    exact = Fraction(repr(share)) * n
     return math.ceil(exact) if up else math.floor(exact + Fraction(1, 2))

@@ -44,8 +44,8 @@ class GeneratorSpec:
         params = dict(self.params)
         if self.kind == "smote" and int(params.get("k_neighbors", SMOTE_K)) < 1:
             raise ValueError("smote requires k_neighbors >= 1")
-        if self.kind == "external" and (isinstance(cmd := params.get("command"), str) or not cmd):
-            raise ValueError("external generator needs a command: a list of arguments, not a str")
+        if self.kind == "external":
+            _check_command(params.get("command"))
         object.__setattr__(self, "params", params)
 
 
@@ -103,6 +103,12 @@ class ExternalGeneratorError(RuntimeError):
     pass
 
 
+def _check_command(command: object) -> None:
+    """Refuse an external command that is not a non-empty sequence of arguments."""
+    if isinstance(command, str) or not command:
+        raise ValueError("external generator needs a command: a list of arguments, not a str")
+
+
 def external_generate(source: Dataset, m: int, command: Sequence[str], seed: int = 0) -> Dataset:
     """The first m rows from one run of ``command``, with no shell, in the caller's directory.
 
@@ -112,6 +118,7 @@ def external_generate(source: Dataset, m: int, command: Sequence[str], seed: int
     """
     import subprocess  # only external runs pay for it
 
+    _check_command(command)
     with tempfile.TemporaryDirectory(prefix="hardshap-") as tmp:
         fill = {"in": f"{tmp}/in.csv", "out": f"{tmp}/out.csv", "m": str(m), "seed": str(seed)}
         save_csv(source, fill["in"], label_column="label")

@@ -81,6 +81,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     tau = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]", "tau")
     amount = _checked(float, lambda value: 0.0 < value < math.inf, "positive and finite", "amount")
 
+    # a flag naming a file is declared by file_flag, inputs before outputs (see _check_flag_rules)
+    def file_flag(p: argparse._ActionsContainer, flag: str, sidecar: bool = False, **kwargs) -> None:
+        p.add_argument(flag, **kwargs)
+        suffixes = ("", valuation.META_SUFFIX) if sidecar else ("",)
+        p.set_defaults(files=(*(p.get_default("files") or ()), *((flag, x) for x in suffixes)))
+
     def common(p: argparse.ArgumentParser, seeded: bool = True) -> None:
         p.add_argument("--config", help="key=value config file; flags override it")
         p.add_argument("--threads", type=_at_least(1, "threads"), default=1,
@@ -90,8 +96,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                            help="PRNG seed (default 0, logged)")
 
     p = sub.add_parser("value", help="score training points (lower = harder)")
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
+    file_flag(p, "--train", required=True)
+    file_flag(p, "--test", required=True)
     p.add_argument("--label", default="label", help="label column name (default label)")
     p.add_argument("--k", type=_at_least(1, "K"), default=5, help="neighborhood size (default 5)")
     p.add_argument("--method", choices=valuation.METHODS, default="knn_shapley")
@@ -100,17 +106,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--truncation-tol", type=_non_negative("truncation-tol"), default=1e-4,
                    help="tmc early-stop tolerance")
     p.add_argument("--no-standardize", action="store_true", help="skip train-fitted scaling")
-    p.add_argument("--out", required=True)
+    file_flag(p, "--out", sidecar=True, required=True)
     common(p)
 
     p = sub.add_parser("rank", help="order ids by hardness from a scores file")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--out", required=True)
+    file_flag(p, "--scores", sidecar=True, required=True)
+    file_flag(p, "--out", required=True)
     common(p, seeded=False)
 
     p = sub.add_parser("augment", help="add synthetic rows fitted on the hardest points")
-    p.add_argument("--train", required=True)
-    p.add_argument("--scores", required=True)
+    file_flag(p, "--train", required=True)
+    file_flag(p, "--scores", sidecar=True, required=True)
     p.add_argument("--label", default="label")
     p.add_argument("--tau", type=tau, required=True, help="hardest fraction in (0, 1]")
     p.add_argument("--amount", type=amount, required=True, help="synthetic rows per hard row")
@@ -119,20 +125,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
                    help=f"SMOTE neighbor count (default {augment_mod.SMOTE_K})")
     p.add_argument("--exec-cmd", type=_checked(shlex.split, bool, "a command", "exec-cmd"),
                    help="external generator: command run once, {in} {out} {m} {seed} filled in")
-    p.add_argument("--out", required=True)
+    file_flag(p, "--out", required=True)
     common(p)
 
     p = sub.add_parser("eval", help="AUC/Gini of a probability file against labels")
-    p.add_argument("--probs", required=True, help="id,prob CSV")
-    p.add_argument("--labels", required=True, help="CSV containing id and the label column")
+    file_flag(p, "--probs", required=True, help="id,prob CSV")
+    file_flag(p, "--labels", required=True, help="CSV containing id and the label column")
     p.add_argument("--label", default="label")
-    p.add_argument("--out", help="optional metric CSV; metrics also print to stdout")
+    file_flag(p, "--out", help="optional metric CSV; metrics also print to stdout")
     common(p, seeded=False)
 
     p = sub.add_parser("eval-pipeline", help="value -> rank -> augment -> repeated Gini")
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--test", required=True)
+    file_flag(p, "--train", required=True)
+    file_flag(p, "--valid", required=True)
+    file_flag(p, "--test", required=True)
     p.add_argument("--label", default="label")
     p.add_argument("--k", type=_at_least(1, "K"), default=5, help="valuation neighborhood size")
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
@@ -146,12 +152,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--replicates", type=_at_least(2, "replicates"), default=30)
     p.add_argument("--with-baseline", action="store_true", help="also run the tau=1 arm")
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--baseline-out", help="with --with-baseline; default: <out>.baseline.csv")
+    file_flag(p, "--out", required=True)
+    file_flag(p, "--baseline-out", help="with --with-baseline; default: <out>.baseline.csv")
     common(p)
 
     p = sub.add_parser("perturb-bench", help="AUPRC of characterizers vs planted hardness")
-    p.add_argument("--train", required=True)
+    file_flag(p, "--train", required=True)
     p.add_argument("--label", default="label")
     p.add_argument("--kinds", type=_subset_of(perturb.KINDS, "kinds"),
                    default=",".join(perturb.KINDS))
@@ -165,14 +171,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10,
                    help="bagging checkpoints of the dataiq characterizer (default 10)")
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--mean-out", help="default: <out> with a .mean.csv suffix")
+    file_flag(p, "--out", required=True)
+    file_flag(p, "--mean-out", help="default: <out> with a .mean.csv suffix")
     common(p)
 
     p = sub.add_parser("dataiq", help="confidence/aleatoric tags over checkpoints")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--train", help="bag a KNN ensemble over these rows")
-    source.add_argument("--probs-in", help="use externally produced checkpoint probabilities")
+    file_flag(source, "--train", help="bag a KNN ensemble over these rows")
+    file_flag(source, "--probs-in", help="use externally produced checkpoint probabilities")
     p.add_argument("--label", default="label")
     p.add_argument("--checkpoints", type=_at_least(2, "checkpoints"), default=10)
     p.add_argument("--k", type=_at_least(1, "K"), default=5)
@@ -181,15 +187,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
         "three numbers with low_conf < high_conf", "thresholds"),
         default=",".join(map(str, dataiq_mod.DEFAULT_THRESHOLDS)),
         help="low_conf,high_conf,low_aleatoric")
-    p.add_argument("--probs-out", help="also write the checkpoint probability matrix")
+    file_flag(p, "--out", required=True)
+    file_flag(p, "--probs-out", help="also write the checkpoint probability matrix")
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--out", required=True)
     common(p)
 
     p = sub.add_parser("removal-curve", help="validation Gini after dropping points")
-    p.add_argument("--train", required=True)
-    p.add_argument("--valid", required=True)
-    p.add_argument("--scores", required=True)
+    file_flag(p, "--train", required=True)
+    file_flag(p, "--valid", required=True)
+    file_flag(p, "--scores", sidecar=True, required=True)
     p.add_argument("--label", default="label")
     p.add_argument("--fractions", default="0,0.05,0.1,0.2", type=_checked(
         _comma_floats, lambda fs: bool(fs) and all(0 <= a < b for a, b in zip(fs, (*fs[1:], 1))),
@@ -199,7 +205,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
     p.add_argument("--downstream-k", type=_at_least(1, "downstream K"),
                    default=evaluation.DOWNSTREAM_K)
     p.add_argument("--no-standardize", action="store_true")
-    p.add_argument("--out", required=True)
+    file_flag(p, "--out", required=True)
     common(p)
 
     p = sub.add_parser("sim-toy", help="analytic 1NN values for the 1-D mixture")
@@ -209,7 +215,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction
         _comma_floats, lambda g: len(g) == 3 and all(map(math.isfinite, g)) and g[2] > 0,
         "three finite numbers with a positive step", "grid"),
         default=",".join(map(str, sim.TOY_GRID)))
-    p.add_argument("--out", help="optional CSV for the interval table")
+    file_flag(p, "--out", help="optional CSV for the interval table")
     common(p, seeded=False)
 
     p = sub.add_parser("sim-blobs", help="write train/valid/test CSVs of 2-D Gaussian blobs")
@@ -271,17 +277,6 @@ def _with_config(argv: list[str], sub: argparse._SubParsersAction) -> list[str]:
     return [argv[0], *tokens, *argv[1:]]
 
 
-# each command's file flags besides --config, inputs first; those ending in "out" are
-# written, and FLAG.meta is the sidecar that value --out writes and --scores reads
-_FILE_FLAGS = {
-    "value": "--train --test --out --out.meta", "rank": "--scores --scores.meta --out",
-    "augment": "--train --scores --scores.meta --out", "eval": "--probs --labels --out",
-    "eval-pipeline": "--train --valid --test --out --baseline-out", "sim-toy": "--out",
-    "perturb-bench": "--train --out --mean-out", "dataiq": "--train --probs-in --out --probs-out",
-    "removal-curve": "--train --valid --scores --scores.meta --out",
-}
-
-
 def _check_flag_rules(args: argparse.Namespace, argv: list[str],
                       parser: argparse.ArgumentParser) -> None:
     """The rules that join two flags; ``argv`` includes the ``--config`` lines.
@@ -289,8 +284,10 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
     A flag that only configures a mode the command does not run would be
     ignored, yet logged in the output header, so it is refused. So is a
     written file that another file flag names too: it would replace an input
-    before it is read, or another output. Default output names and sidecars
-    count too, so ``args`` carries the resolved defaults.
+    before it is read, or another output. The file flags are those
+    ``file_flag`` recorded on ``parser``, each written one checked against the
+    flags declared before it. Default output names and sidecars count too, so
+    ``args`` carries the resolved defaults.
     """
     if broken := [token for token in argv if "\n" in token or "\r" in token]:
         parser.error(f"argument {broken[0]!r}: a line break would split the output header")
@@ -324,11 +321,10 @@ def _check_flag_rules(args: argparse.Namespace, argv: list[str],
         parser.error(f"argument --probs-in: not allowed with {flags}, "
                      "which only configure --train")
     named = []
-    for token in ["--config", *_FILE_FLAGS.get(args.command, "").split()]:
-        flag, dot, suffix = token.partition(".")
+    for flag, suffix in [("--config", ""), *(parser.get_default("files") or ())]:
         if path := vars(args)[flag[2:].replace("-", "_")]:
-            path += dot + suffix
-            label = (f"{flag} (sidecar {path})" if dot else
+            path += suffix
+            label = (f"{flag} (sidecar {path})" if suffix else
                      flag if _given(argv, flag) else f"{flag} (default {path})")
             named.append((flag, label, os.path.realpath(path)))
     for j, (flag, label, path) in enumerate(named):

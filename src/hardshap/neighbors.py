@@ -21,7 +21,9 @@ keeping the cut where a stable sort puts it.
 ``k_nearest``, the one top-K query, serves SMOTE, the downstream KNN vote
 and the ``CachedVote`` build. Data-IQ, the exact recursion and
 ``removal_curve`` keep their own ``cdist`` blocks: each uses more of a block
-than its top K. ``k_nearest`` and ``removal_curve`` size their blocks by
+than its top K. The ``CachedVote`` vote keeps one too: it sets each block of
+batch distances beside the cached K nearest and picks from both with
+``smallest_k``. ``k_nearest`` and ``removal_curve`` size their blocks by
 cells, ``top_k_blocks``: about TOP_K_CELLS distances (1 MB) per block, so
 the block and ``argpartition``'s index array stay cache-sized as n grows.
 Rows are independent, so the block size never changes a result.

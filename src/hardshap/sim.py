@@ -18,14 +18,15 @@ from .valuation import knn_shapley_contributions
 
 TOY_GRID = (-8.0, 8.0, 1e-3)
 MAX_EXCLUDED_TAIL = 1e-6
+# the four Gaussian components of the blob benchmark: an XOR layout, two per label
+BLOB_MEANS = ((-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0))
+BLOB_LABELS = (0, 0, 1, 1)
 
 
 @dataclass(frozen=True)
 class BlobConfig:
-    """Four Gaussian components in the plane, two per label."""
+    """Sizes, spread and seed of a draw from the ``BLOB_MEANS`` components."""
 
-    means: tuple[tuple[float, float], ...] = ((-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0))
-    component_labels: tuple[int, ...] = (0, 0, 1, 1)
     cov_scale: float = 1.0
     n_train: int = 5000
     n_valid: int = 2500
@@ -33,10 +34,6 @@ class BlobConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if len(self.means) != 4 or len(self.component_labels) != 4:
-            raise ValueError("expected four components")
-        if sorted(self.component_labels) != [0, 0, 1, 1]:
-            raise ValueError("expected two components per label")
         if min(self.n_train, self.n_valid, self.n_test) < 1:
             raise ValueError("split sizes must be positive")
         if not self.cov_scale >= 0:
@@ -45,9 +42,9 @@ class BlobConfig:
 
 def _draw_blob(cfg: BlobConfig, n: int, seq: np.random.SeedSequence) -> Dataset:
     rng = np.random.default_rng(seq)
-    means = np.asarray(cfg.means, dtype=np.float64)
-    labels = np.asarray(cfg.component_labels, dtype=np.int64)
-    comp = rng.integers(0, 4, size=n)
+    means = np.asarray(BLOB_MEANS, dtype=np.float64)
+    labels = np.asarray(BLOB_LABELS, dtype=np.int64)
+    comp = rng.integers(0, len(BLOB_MEANS), size=n)
     features = means[comp] + cfg.cov_scale * rng.standard_normal((n, 2))
     return Dataset(features, labels[comp], ("x1", "x2"), np.arange(n, dtype=np.int64))
 
@@ -60,16 +57,6 @@ def gen_blobs(cfg: BlobConfig) -> tuple[Dataset, Dataset, Dataset]:
         _draw_blob(cfg, cfg.n_valid, seq_valid),
         _draw_blob(cfg, cfg.n_test, seq_test),
     )
-
-
-def gen_toy_mixture(n: int, seed: int = 0) -> Dataset:
-    """n draws from the 1-D two-component mixture: y ~ Bern(1/2), x ~ N(2y-1, 1)."""
-    if n < 2:
-        raise ValueError("need at least 2 points")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    labels = rng.integers(0, 2, size=n)
-    features = (2.0 * labels - 1.0)[:, None] + rng.standard_normal((n, 1))
-    return Dataset(features, labels, ("x1",), np.arange(n, dtype=np.int64))
 
 
 def _toy_train(x_train: float) -> Dataset:

@@ -27,6 +27,7 @@ from .neighbors import QUERY_CHUNK, check_same_dimension, id_sorted_view
 from .neighbors import rank_all, stable_order
 
 METHODS = ("knn_shapley", "exact_shapley", "tmc_shapley")
+META_SUFFIX = ".meta"  # a scores file's params sidecar is the file's name plus this
 
 EXACT_MAX_POINTS = 16
 PAIRWISE_BLOCK = 128  # numpy's pairwise sum splits longer runs in two
@@ -366,7 +367,7 @@ def hardest_subset(ds: Dataset, scores: ValuationScores, tau: float) -> Dataset:
 def save_scores_csv(
     scores: ValuationScores, path: str | Path, header_comment: str | None = None
 ) -> None:
-    """Write ``id,score,rank,method`` rows plus a ``<path>.meta`` sidecar.
+    """Write ``id,score,rank,method`` rows plus the ``META_SUFFIX`` sidecar of ``path``.
 
     Rank 0 is the hardest point. The sidecar holds the params one
     ``key=value`` per line.
@@ -375,7 +376,7 @@ def save_scores_csv(
     ranks[hardness_order(scores)] = np.arange(scores.n)
     rows = ((*row, scores.method) for row in _io.array_rows(scores.ids, scores.scores, ranks))
     _io.write_csv(path, ["id", "score", "rank", "method"], rows, [header_comment])
-    with open(f"{path}.meta", "w", encoding="utf-8") as fh:
+    with open(f"{path}{META_SUFFIX}", "w", encoding="utf-8") as fh:
         fh.write(f"method={scores.method}\n")
         for key in sorted(scores.params):
             fh.write(f"{key}={scores.params[key]}\n")
@@ -396,7 +397,7 @@ def load_scores_csv(path: str | Path) -> ValuationScores:
         raise ValueError(f"mixed methods in {path}: row {row} says {other!r}, "
                          f"the rows above it {method!r}")
     params: dict[str, object] = {}
-    meta = Path(f"{path}.meta")
+    meta = Path(f"{path}{META_SUFFIX}")
     if meta.exists():
         for line in meta.read_text(encoding="utf-8").splitlines():
             if "=" in line:

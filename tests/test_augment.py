@@ -1,4 +1,5 @@
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,11 @@ class TestSyntheticRows:
     def test_amount_is_read_as_its_decimal(self, amount, n, expected, cast):
         # 0.7 * 45 is 31.499999999999996 in floats; the decimal 31.5 rounds half up to 32
         assert synthetic_rows(cast(amount), n) == expected
+
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_a_non_finite_amount_is_refused(self, amount):
+        with pytest.raises(ValueError, match=f"share of 10 rows must be finite, got {amount}"):
+            synthetic_rows(amount, 10)
 
     def test_exact_half_sizes_the_appended_batch(self):
         train = random_dataset(np.random.default_rng(11), 450, d=2)
@@ -274,6 +280,16 @@ class TestExternalGenerator:
                        {"exec_in": path, "exec_out": path}):
             with pytest.raises(ValueError, match="needs a command"):
                 GeneratorSpec("external", params)
+
+    @pytest.mark.parametrize("command", ["true", "", []], ids=["str", "empty-str", "empty-list"])
+    def test_a_str_or_empty_command_is_refused_before_it_runs(self, monkeypatch, private_tempdir,
+                                                              command):
+        # "true" would run each of its characters as an argument, so "t" first
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("a process ran"))
+        source = random_dataset(np.random.default_rng(16), 10, d=2)
+        with pytest.raises(ValueError, match="needs a command"):
+            external_generate(source, 3, command)
+        assert list(private_tempdir.iterdir()) == []
 
 
 class TestWeightedKs:

@@ -753,14 +753,22 @@ def test_two_file_flags_naming_one_file_are_refused(tmp_path, monkeypatch, capsy
     _assert_flag_rule_refuses(tmp_path, monkeypatch, capsys, command, flags, config, message)
 
 
-def test_every_output_flag_is_under_the_same_file_rule():
-    # a new output flag missing from _FILE_FLAGS would slip past the rule
+def _outside_the_same_file_rule(names_a_file) -> list[tuple[str, str]]:
+    # a flag declared without file_flag is missing from its subparser's files
     _, sub = cli._build_parser()
-    missing = [(command, action.option_strings[0])
-               for command, p in sub.choices.items() for action in p._actions
-               if action.dest.endswith("out")
-               and action.option_strings[0] not in cli._FILE_FLAGS.get(command, "").split()]
-    assert missing == []
+    return [(command, action.option_strings[0])
+            for command, p in sub.choices.items() for action in p._actions
+            if names_a_file(action.dest)
+            and (action.option_strings[0], "") not in (p.get_default("files") or ())]
+
+
+def test_every_output_flag_is_under_the_same_file_rule():
+    assert _outside_the_same_file_rule(lambda dest: dest.endswith("out")) == []
+
+
+def test_every_input_flag_is_under_the_same_file_rule():
+    inputs = {"train", "test", "valid", "scores", "probs", "labels", "probs_in"}
+    assert _outside_the_same_file_rule(inputs.__contains__) == []
 
 
 def _header_argv(path: Path) -> list[str]:

@@ -8,8 +8,9 @@ one ``dataiq`` run on the same lattice pins its raw bagged probabilities,
 which an AUPRC could hide. One ``value`` run on lattices nudged by a few
 ulps pins exact scores whose every distance row needs the stable re-sort of
 ``neighbors.stable_order``. One ``value --method exact_shapley`` run on a
-12-row lattice with distance ties pins the coalition-enumeration oracle. The
-fixtures pin cell text (shortest-repr floats,
+12-row lattice with distance ties pins the coalition-enumeration oracle. One
+``sim-blobs`` run at small sizes and a non-default spread, seed and label
+column pins the blob generator's draws. The fixtures pin cell text (shortest-repr floats,
 ``-0.0``, subnormals, exponents), header quoting, comment lines and line
 endings (``\\r\\n`` data rows from the library writers, ``\\n`` from the CLI).
 
@@ -54,6 +55,9 @@ FILES = (
     "near_scores.csv.meta",
     "exact.csv",
     "exact.csv.meta",
+    "blobs_train.csv",
+    "blobs_valid.csv",
+    "blobs_test.csv",
 )
 
 
@@ -145,6 +149,8 @@ def write_all(out: Path) -> None:
              "--no-standardize", "--out", "near_scores.csv"],
             ["value", "--train", "exact_train.csv", "--test", "exact_test.csv", "--k", "3",
              "--method", "exact_shapley", "--no-standardize", "--out", "exact.csv"],
+            ["sim-blobs", "--out-prefix", "blobs", "--n-train", "7", "--n-valid", "5",
+             "--n-test", "4", "--cov-scale", "0.75", "--seed", "3", "--label", "y"],
         )
         for argv in calls:
             if main(argv) != 0:

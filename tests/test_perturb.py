@@ -68,6 +68,10 @@ class TestMislabel:
         with pytest.raises(ValueError, match="flag count does not match"):
             PerturbationRecord(np.arange(90) < 31, "mislabeling", 0.35, 1)
 
+    def test_a_nan_proportion_is_refused(self):
+        with pytest.raises(ValueError, match="share of 10 rows must be finite, got nan"):
+            PerturbationRecord(np.zeros(10, bool), "ood", float("nan"), 0)
+
     def test_degenerate_proportion(self):
         ds = random_dataset(np.random.default_rng(3), 10)
         with pytest.raises(ValueError, match="rounds to"):

@@ -7,7 +7,6 @@ from hardshap.dataset import Dataset
 from hardshap.sim import (
     BlobConfig,
     gen_blobs,
-    gen_toy_mixture,
     toy_1nn_shapleys,
     toy_expected_shapley,
     toy_interval_table,
@@ -115,8 +114,9 @@ class TestBlobs:
     def test_zero_covariance_collapses_to_means(self):
         cfg = BlobConfig(cov_scale=0.0, n_train=40, n_valid=8, n_test=8, seed=1)
         train, _, _ = gen_blobs(cfg)
-        allowed = {(-2.0, -2.0), (2.0, 2.0), (-2.0, 2.0), (2.0, -2.0)}
-        assert {tuple(row) for row in train.features} <= allowed
+        # the XOR layout: each row sits on a component mean and carries its label
+        allowed = {(-2.0, -2.0, 0), (2.0, 2.0, 0), (-2.0, 2.0, 1), (2.0, -2.0, 1)}
+        assert {(*row, y) for row, y in zip(train.features, train.labels)} <= allowed
 
     def test_label_prevalence_balanced(self):
         cfg = BlobConfig(n_train=4000, n_valid=10, n_test=10, seed=2)
@@ -133,10 +133,6 @@ class TestBlobs:
         b, _, _ = gen_blobs(BlobConfig(n_train=50, n_valid=5, n_test=5, seed=9))
         assert np.array_equal(a.features, b.features)
 
-    def test_component_label_validation(self):
-        with pytest.raises(ValueError, match="two components"):
-            BlobConfig(component_labels=(0, 1, 1, 1))
-
     @pytest.mark.parametrize("scale", [-1.0, np.nan])
     def test_rejects_a_negative_or_nan_covariance_scale(self, scale):
         with pytest.raises(ValueError, match="covariance scale must be nonnegative"):
@@ -151,25 +147,3 @@ class TestBlobs:
         def axis_distance(ds):
             return np.abs(ds.features).min(axis=1).mean()
         assert axis_distance(hardest) < axis_distance(train)
-
-
-class TestToyMixture:
-    def test_reproducible(self):
-        a = gen_toy_mixture(100, seed=4)
-        b = gen_toy_mixture(100, seed=4)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.labels, b.labels)
-
-    def test_class_means(self):
-        ds = gen_toy_mixture(4000, seed=5)
-        bound = 4 / np.sqrt(ds.n)
-        assert abs(ds.features[ds.labels == 0].mean() + 1.0) < bound * 3
-        assert abs(ds.features[ds.labels == 1].mean() - 1.0) < bound * 3
-
-    def test_prevalence(self):
-        ds = gen_toy_mixture(4000, seed=6)
-        assert abs(ds.labels.mean() - 0.5) <= 3 / (2 * np.sqrt(ds.n))
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            gen_toy_mixture(1, seed=0)

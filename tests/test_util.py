@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -26,6 +27,14 @@ class TestShareCount:
         # 0.07 * 100 is 7.000000000000001 in floats; a numpy float reads as its value
         assert share_count(np.float64(share), n, up=True) == expected
 
+    @pytest.mark.parametrize("share", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                             ids=["nan", "inf", "-inf", "numpy-nan"])
+    @pytest.mark.parametrize("up", [False, True])
+    def test_a_non_finite_share_is_refused(self, share, up):
+        # Fraction would fail on the text 'nan' with a message that names no share
+        with pytest.raises(ValueError, match=r"share of 5 rows must be finite, got -?(nan|inf)$"):
+            share_count(share, 5, up=up)
+
     @settings(max_examples=400, deadline=None)
     @given(digits=st.integers(0, 10**6), places=st.integers(0, 4), n=st.integers(0, 10**5),
            cast=st.sampled_from([float, np.float64]))
@@ -36,6 +45,13 @@ class TestShareCount:
         exact = Fraction(str(float(share))) * n
         assert share_count(share, n) == math.floor(exact + Fraction(1, 2))
         assert share_count(share, n, up=True) == math.ceil(exact)
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    # an export deleted from one list only would leave the other stale
+    bound = [name for name, value in vars(hardshap).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(hardshap.__all__) == sorted(bound)
 
 
 def test_only_util_turns_a_share_into_a_count():
